@@ -29,15 +29,14 @@ pub mod serve;
 pub mod signal;
 pub mod top;
 
-use dds_chaos::{ChaosEngine, ChaosSpec};
+use dds_chaos::{ChaosEngine, ChaosSpec, FaultCounts};
 use dds_core::categorize::CategorizationConfig;
 use dds_core::{
     report, sanitize_profiles, Analysis, AnalysisConfig, QualityPolicy, TrainingContext,
     MODEL_FORMAT_VERSION,
 };
 use dds_monitor::{
-    AlertHistory, FleetMonitor, ModelBundle, MonitorConfig, MonitorService, Severity,
-    ShardedFleetMonitor,
+    Alert, AlertHistory, ModelBundle, MonitorConfig, MonitorService, Severity, ShardedFleetMonitor,
 };
 use dds_obs::http::HttpServer;
 use dds_obs::profile::StageProfiler;
@@ -45,7 +44,7 @@ use dds_obs::subscribers::{JsonLinesSubscriber, StderrSubscriber, TeeSubscriber}
 use dds_obs::trace::{self, Level, Subscriber};
 use dds_obs::watchdog::HealthState;
 use dds_smartsim::io::{read_csv, write_csv};
-use dds_smartsim::{Dataset, FleetConfig, FleetSimulator};
+use dds_smartsim::{Dataset, DriveId, FleetConfig, FleetSimulator, HealthRecord};
 use dds_stats::par::Parallelism;
 use serve::{load_model, register_build_info, ServeOptions};
 use std::error::Error;
@@ -269,8 +268,8 @@ pub enum Command {
         threads: usize,
         /// Expose the scrape endpoints on this address during the run.
         listen: Option<String>,
-        /// Hash drives across this many monitor shards (1 = the classic
-        /// sequential replay; alerts then sort by (hour, drive id)).
+        /// Hash drives across this many monitor shards; alerts merge in
+        /// (hour, drive id) order at any count.
         shards: usize,
         /// Fault injection applied to the live stream.
         chaos: ChaosOptions,
@@ -403,9 +402,10 @@ Sharded serving (see docs/SCALING.md):
   /metrics and /healthz are byte-identical at any shard count. External
   collectors POST record batches (binary DDSB or CSV chunks) to /ingest;
   --ingest-queue N bounds the queue (default 256 batches), and a full
-  queue sheds the batch with a 429 receipt instead of blocking. On
-  monitor, --shards N replays the live fleet through the same sharded
-  path (alerts sort by hour, then drive id).
+  queue sheds the batch with a 429 receipt instead of blocking. monitor,
+  pipeline and predict replay the live fleet through the same sharded
+  path (monitor takes --shards N, the others one shard); alerts sort by
+  hour, then drive id.
 
 Online learning (see docs/OPERATIONS.md \"Online refit & promotion\"):
   serve always watches the live stream for drift against the serving
@@ -768,6 +768,49 @@ fn analysis_config(k: Option<usize>, threads: usize) -> AnalysisConfig {
     }
 }
 
+/// The live fleet as one ingest batch, drive by drive with each drive's
+/// records in order — corrupted first (and the faults published) when
+/// `chaos` is active.
+fn live_batch(
+    fleet: &Dataset,
+    chaos: &ChaosOptions,
+) -> (Vec<(DriveId, HealthRecord)>, Option<FaultCounts>) {
+    match chaos.engine() {
+        Some(engine) => {
+            let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, fleet);
+            engine.publish(&faults);
+            let batch =
+                raw.iter().flat_map(|p| p.records.iter().map(|r| (p.id, r.clone()))).collect();
+            (batch, Some(faults))
+        }
+        None => {
+            let batch = fleet
+                .drives()
+                .iter()
+                .flat_map(|d| d.records().iter().map(|r| (d.id(), r.clone())))
+                .collect();
+            (batch, None)
+        }
+    }
+}
+
+/// The alert report `dds monitor` and `dds predict` share: a count line,
+/// the first `limit` alerts, and the critical total.
+fn render_alerts(alerts: &[Alert], fleet: &Dataset, limit: usize) -> String {
+    let mut out = format!(
+        "{} alerts over {} drives ({} failed); showing up to {limit}:\n",
+        alerts.len(),
+        fleet.drives().len(),
+        fleet.failed_drives().count()
+    );
+    for alert in alerts.iter().take(limit) {
+        out.push_str(&format!("  {alert}\n"));
+    }
+    let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
+    out.push_str(&format!("{critical} critical alerts in total\n"));
+    out
+}
+
 /// Executes a parsed command, returning the text to print.
 ///
 /// When the command carries active [`ObsOptions`], the requested
@@ -876,73 +919,18 @@ fn run_inner(
                 .map(|addr| batch_server(addr, Arc::clone(&history), Arc::clone(&health), profiler))
                 .transpose()?;
             health.set_ready(true);
-            let mut alerts = Vec::new();
-            let mut live_faults = None;
-            let quality;
-            if shards > 1 {
-                // Sharded replay: concatenate per-drive histories into one
-                // batch (a drive's records stay in order), fan it across
-                // the shards, and take the coordinator's (hour, drive id)
-                // merged alert stream.
-                let mut monitor =
-                    ShardedFleetMonitor::new(bundle, MonitorConfig::default(), shards)
-                        .with_history(Arc::clone(&history));
-                let mut batch = Vec::new();
-                match chaos.engine() {
-                    Some(engine) => {
-                        let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, &live_fleet);
-                        engine.publish(&faults);
-                        live_faults = Some(faults);
-                        for profile in &raw {
-                            batch.extend(profile.records.iter().map(|r| (profile.id, r.clone())));
-                        }
-                    }
-                    None => {
-                        for drive in live_fleet.drives() {
-                            batch.extend(drive.records().iter().map(|r| (drive.id(), r.clone())));
-                        }
-                    }
-                }
-                alerts = monitor.ingest_batch(&batch);
-                quality = monitor.quality_stats();
-            } else {
-                let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default())
-                    .with_history(Arc::clone(&history));
-                match chaos.engine() {
-                    Some(engine) => {
-                        let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, &live_fleet);
-                        engine.publish(&faults);
-                        live_faults = Some(faults);
-                        for profile in &raw {
-                            alerts.extend(monitor.replay(profile.id, &profile.records));
-                        }
-                    }
-                    None => {
-                        for drive in live_fleet.drives() {
-                            alerts.extend(monitor.replay(drive.id(), drive.records()));
-                        }
-                    }
-                }
-                quality = *monitor.quality_stats();
-            }
-            alerts.sort_by_key(|a| a.hour);
-            let mut out = String::new();
-            out.push_str(&format!(
-                "{} alerts over {} drives ({} failed); showing up to {limit}:\n",
-                alerts.len(),
-                live_fleet.drives().len(),
-                live_fleet.failed_drives().count()
-            ));
-            for alert in alerts.iter().take(limit) {
-                out.push_str(&format!("  {alert}\n"));
-            }
-            let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
-            out.push_str(&format!("{critical} critical alerts in total\n"));
+            let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), shards)
+                .with_history(Arc::clone(&history));
+            let (batch, live_faults) = live_batch(&live_fleet, &chaos);
+            let alerts = monitor.ingest_batch(&batch);
+            let mut out = render_alerts(&alerts, &live_fleet, limit);
             if let Some(faults) = live_faults {
                 out.push_str(&format!(
                     "chaos {} (seed {}): {faults} faults injected into the live stream\n\
-                     live quality: {quality}\n",
-                    chaos.spec, chaos.seed,
+                     live quality: {}\n",
+                    chaos.spec,
+                    chaos.seed,
+                    monitor.quality_stats(),
                 ));
             }
             if let Some(server) = server {
@@ -986,26 +974,11 @@ fn run_inner(
                 fleet_config(&scale).with_seed(live_seed).with_parallelism(par),
             )
             .run();
-            let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default())
+            let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), 1)
                 .with_history(Arc::clone(&history));
             health.set_ready(true);
-            let mut alerts = Vec::new();
-            let mut live_faults = None;
-            match &engine {
-                Some(engine) => {
-                    let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, &live_fleet);
-                    engine.publish(&faults);
-                    live_faults = Some(faults);
-                    for profile in &raw {
-                        alerts.extend(monitor.replay(profile.id, &profile.records));
-                    }
-                }
-                None => {
-                    for drive in live_fleet.drives() {
-                        alerts.extend(monitor.replay(drive.id(), drive.records()));
-                    }
-                }
-            }
+            let (batch, live_faults) = live_batch(&live_fleet, &chaos);
+            let alerts = monitor.ingest_batch(&batch);
             let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
             if let Some(server) = server {
                 server.shutdown();
@@ -1078,12 +1051,9 @@ fn run_inner(
             let bundle = ModelBundle::from_trained(&trained)
                 .map_err(|e| CliError(format!("model {}: {e}", model.display())))?;
             let live_fleet = load(&live)?;
-            let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
-            let mut alerts = Vec::new();
-            for drive in live_fleet.drives() {
-                alerts.extend(monitor.replay(drive.id(), drive.records()));
-            }
-            alerts.sort_by_key(|a| a.hour);
+            let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), 1);
+            let (batch, _) = live_batch(&live_fleet, &ChaosOptions::default());
+            let alerts = monitor.ingest_batch(&batch);
             // One header line, then a body byte-identical to `dds monitor`
             // trained on the same fleet (the warm-start guarantee).
             let mut out = format!(
@@ -1094,17 +1064,7 @@ fn run_inner(
                 trained.meta.scale,
                 MODEL_FORMAT_VERSION,
             );
-            out.push_str(&format!(
-                "{} alerts over {} drives ({} failed); showing up to {limit}:\n",
-                alerts.len(),
-                live_fleet.drives().len(),
-                live_fleet.failed_drives().count()
-            ));
-            for alert in alerts.iter().take(limit) {
-                out.push_str(&format!("  {alert}\n"));
-            }
-            let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
-            out.push_str(&format!("{critical} critical alerts in total\n"));
+            out.push_str(&render_alerts(&alerts, &live_fleet, limit));
             Ok(out)
         }
         Command::Serve(options) => {

@@ -79,6 +79,24 @@ fn simulate_analyze_monitor_pipeline() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("critical alerts in total"), "monitor output: {stdout}");
 
+    // Sharding changes throughput only: three shards print the same report.
+    let sharded = dds()
+        .args([
+            "monitor",
+            "--train",
+            train.to_str().unwrap(),
+            "--live",
+            live.to_str().unwrap(),
+            "--limit",
+            "5",
+            "--shards",
+            "3",
+        ])
+        .output()
+        .expect("runs");
+    assert!(sharded.status.success(), "{}", String::from_utf8_lossy(&sharded.stderr));
+    assert_eq!(String::from_utf8_lossy(&sharded.stdout), stdout, "3 shards vs 1 shard");
+
     let _ = std::fs::remove_file(&train);
     let _ = std::fs::remove_file(&live);
 }

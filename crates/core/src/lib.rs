@@ -68,7 +68,7 @@ pub use model::{
 };
 pub use online::{OnlineTrainer, RefitOutcome, RefitPath};
 pub use pipeline::{Analysis, AnalysisConfig, AnalysisReport};
-pub use predict::{DegradationPredictor, PredictionConfig, PredictionReport, WarmPredictStats};
+pub use predict::{DegradationPredictor, PredictionConfig, PredictionReport};
 pub use quality::{
     sanitize_profiles, DataQualityError, FleetSanitizer, QualityPolicy, QualityStats,
 };

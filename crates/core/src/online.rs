@@ -36,7 +36,6 @@
 use crate::error::AnalysisError;
 use crate::model::{TrainedModel, TrainingContext};
 use crate::pipeline::{Analysis, AnalysisConfig, AnalysisReport};
-use crate::predict::DegradationPredictor;
 use crate::quality::{sanitize_profiles, QualityStats};
 use dds_smartsim::topology::RackId;
 use dds_smartsim::{
@@ -58,11 +57,12 @@ pub enum RefitPath {
     /// Full epoch replay through the batch trainer (no prior model, or
     /// the caller asked for it explicitly).
     Replay,
-    /// Warm-started incremental fit from the prior model's centroids
-    /// ([`Analysis::train_incremental`]).
+    /// Warm-started incremental fit: K-means refined from the prior
+    /// model's centroids, trees fit on thinned good train rows.
     Incremental,
-    /// The incremental attempt errored and the refit fell back to epoch
-    /// replay (counted in `dds_refit_fallback_total`).
+    /// The incremental attempt errored and the refit fell back to the
+    /// cold fit, with the prior scored for the live RMSE only (counted in
+    /// `dds_refit_fallback_total`).
     Fallback,
 }
 
@@ -82,8 +82,9 @@ pub struct RefitOutcome {
     /// Which refit math produced this outcome.
     pub path: RefitPath,
     /// Mean RMSE of the *prior* (serving) model's trees scored on this
-    /// window's labeled samples — the live half of the RMSE drift
-    /// comparison. `None` when no prior was supplied or scoring failed.
+    /// window's held-out rows — the live half of the RMSE drift
+    /// comparison. `None` when no prior was supplied or no prior group
+    /// matched the window's groups.
     pub live_rmse: Option<f64>,
     /// Mean training RMSE recorded in the prior model's artifact, the
     /// baseline the live value is compared against. `None` without a
@@ -331,14 +332,15 @@ impl OnlineTrainer {
     }
 
     /// Refits with an optional prior (serving) model. With a prior, the
-    /// warm-started incremental pipeline
-    /// ([`Analysis::train_incremental`]) is attempted first — K-means
-    /// refined from the prior centroids instead of the full elbow sweep —
-    /// and any incremental error falls back to the epoch-replay path
-    /// (counted in `dds_refit_fallback_total`), so a caller that could
-    /// refit before can always still refit. The prior also unlocks the
-    /// RMSE drift channel: the outcome carries the prior trees' RMSE
-    /// scored live on this window next to their recorded training RMSE.
+    /// warm-started incremental fit is attempted first — K-means refined
+    /// from the prior centroids instead of the full elbow sweep, trees fit
+    /// on thinned good train rows — and any incremental error falls back
+    /// to the cold fit of the replay path (counted in
+    /// `dds_refit_fallback_total`), so a caller that could refit before
+    /// can always still refit. The prior also unlocks the RMSE drift
+    /// channel: on either path its trees are scored on the window's
+    /// held-out rows, and the outcome carries that live RMSE next to the
+    /// prior's recorded training RMSE.
     ///
     /// # Errors
     ///
@@ -359,43 +361,27 @@ impl OnlineTrainer {
         }
         let (dataset, quality) = self.assemble_window()?;
         let analysis = Analysis::new(self.config.clone());
-        // The incremental path's warm predict stage scores the prior
-        // trees on its own test splits, so the live RMSE sample is free;
-        // the replay/fallback paths pay one extra scoring pass instead.
-        let mut warm_live_rmse = None;
-        let (report, model, path) = match prior {
-            Some(prior_model) => match analysis.train_incremental(&dataset, prior_model, ctx) {
-                Ok((report, model, stats)) => {
+        let (report, model, live_rmse, path) = match prior {
+            Some(_) => match analysis.train_from(&dataset, ctx, prior, true) {
+                Ok((report, model, live_rmse)) => {
                     dds_obs::metrics::global().counter("dds_refit_incremental_total").inc();
-                    warm_live_rmse = stats.live_rmse;
-                    (report, model, RefitPath::Incremental)
+                    (report, model, live_rmse, RefitPath::Incremental)
                 }
                 Err(_) => {
                     dds_obs::metrics::global().counter("dds_refit_fallback_total").inc();
-                    let (report, model) = analysis.train(&dataset, ctx)?;
-                    (report, model, RefitPath::Fallback)
+                    let (report, model, live_rmse) =
+                        analysis.train_from(&dataset, ctx, prior, false)?;
+                    (report, model, live_rmse, RefitPath::Fallback)
                 }
             },
             None => {
                 let (report, model) = analysis.train(&dataset, ctx)?;
-                (report, model, RefitPath::Replay)
+                (report, model, None, RefitPath::Replay)
             }
         };
-        let (live_rmse, prior_training_rmse) = match prior {
-            Some(p) if !p.groups.is_empty() => {
-                let live = warm_live_rmse.or_else(|| {
-                    let mut prediction = self.config.prediction.clone();
-                    prediction.tree.parallelism = self.config.parallelism;
-                    DegradationPredictor::new(prediction)
-                        .score_prior_rmse(p, &dataset, &report)
-                        .ok()
-                });
-                let training =
-                    p.groups.iter().map(|g| g.rmse).sum::<f64>() / p.groups.len() as f64;
-                (live, Some(training))
-            }
-            _ => (None, None),
-        };
+        let prior_training_rmse = prior
+            .filter(|p| !p.groups.is_empty())
+            .map(|p| p.groups.iter().map(|g| g.rmse).sum::<f64>() / p.groups.len() as f64);
         self.refits += 1;
         dds_obs::metrics::global().counter("dds_online_refits_total").inc();
         Ok(RefitOutcome {

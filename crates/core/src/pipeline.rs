@@ -18,7 +18,7 @@ use crate::error::AnalysisError;
 use crate::features::FailureRecordSet;
 use crate::influence::{self, AttributeInfluence, EnvInfluence};
 use crate::model::{TrainedModel, TrainingContext};
-use crate::predict::{DegradationPredictor, PredictionConfig, PredictionReport, WarmPredictStats};
+use crate::predict::{DegradationPredictor, PredictionConfig, PredictionReport};
 use crate::quality::{self, QualityPolicy, QualityStats};
 use crate::zscore::{all_attribute_z_scores_columns, TemporalZScores, ZScoreConfig};
 use dds_obs::trace::Level;
@@ -147,43 +147,23 @@ impl Analysis {
     /// [`AnalysisError::UnsuitableDataset`] for datasets without failed or
     /// good drives.
     pub fn run(&self, dataset: &Dataset) -> Result<AnalysisReport, AnalysisError> {
-        self.run_impl(dataset, None).map(|(report, _)| report)
+        self.run_impl(dataset, None, false).map(|(report, _)| report)
     }
 
-    /// Runs every stage like [`run`](Self::run), but warm-started from a
-    /// prior model — the incremental-refit fast path. Two stages differ
-    /// from the cold run, both asymmetrically cheaper:
-    ///
-    /// * **categorize** — K-means starts from the prior centroids instead
-    ///   of the full elbow sweep (one streaming pass + Lloyd refinement
-    ///   via [`Categorizer::categorize_warm`]);
-    /// * **predict** — trees fit on a good-thinned train split and the
-    ///   prior trees are scored on the warm test split, producing the
-    ///   live RMSE sample in the returned [`WarmPredictStats`]
-    ///   ([`DegradationPredictor::train_with_columns_warm`]).
-    ///
-    /// Every other kernel is identical to the cold run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same stage errors as [`run`](Self::run), plus
-    /// [`AnalysisError::InvalidConfig`] when `prior` carries no groups.
-    /// Callers that need a guaranteed result should fall back to the
-    /// cold path on error (see `OnlineTrainer::refit_with`).
-    pub fn run_incremental(
-        &self,
-        dataset: &Dataset,
-        prior: &TrainedModel,
-    ) -> Result<(AnalysisReport, WarmPredictStats), AnalysisError> {
-        self.run_impl(dataset, Some(prior))
-            .map(|(report, stats)| (report, stats.unwrap_or_default()))
-    }
-
+    /// Every stage of the paper, optionally against a prior (serving)
+    /// model. A prior's trees are scored on each group's held-out rows,
+    /// and the mean RMSE over matched groups comes back as the live RMSE.
+    /// `warm` (which needs a prior) is the incremental refit: K-means
+    /// starts from the prior centroids instead of the full elbow sweep
+    /// ([`Categorizer::categorize_warm`]) and the trees fit on thinned
+    /// good train rows. Every other kernel is the cold run's.
     fn run_impl(
         &self,
         dataset: &Dataset,
         prior: Option<&TrainedModel>,
-    ) -> Result<(AnalysisReport, Option<WarmPredictStats>), AnalysisError> {
+        warm: bool,
+    ) -> Result<(AnalysisReport, Option<f64>), AnalysisError> {
+        let warm_prior = prior.filter(|_| warm);
         let _run_span = dds_obs::span!(
             Level::Info,
             "pipeline.run",
@@ -191,7 +171,7 @@ impl Analysis {
             failed_drives = dataset.failed_drives().count(),
         );
         dds_obs::metrics::global().counter("dds_pipeline_runs_total").inc();
-        if prior.is_some() {
+        if warm_prior.is_some() {
             dds_obs::metrics::global().counter("dds_pipeline_incremental_runs_total").inc();
         }
 
@@ -267,7 +247,7 @@ impl Analysis {
         let categorization =
             stage("pipeline.categorize", "dds_pipeline_categorize_seconds", || {
                 let categorizer = Categorizer::new(categorization_config);
-                match prior {
+                match warm_prior {
                     Some(prior_model) => {
                         let centroids: Vec<Vec<f64>> =
                             prior_model.groups.iter().map(|g| g.centroid.clone()).collect();
@@ -343,19 +323,15 @@ impl Analysis {
         // --- Fig. 13, Table III ---------------------------------------------
         let mut prediction_config = self.config.prediction.clone();
         prediction_config.tree.parallelism = par;
-        let (prediction, warm_stats) =
-            stage("pipeline.predict", "dds_pipeline_predict_seconds", || match prior {
-                Some(prior_model) => DegradationPredictor::new(prediction_config)
-                    .train_with_columns_warm(
-                        &columns,
-                        &categorization,
-                        &degradation,
-                        prior_model,
-                    )
-                    .map(|(report, stats)| (report, Some(stats))),
-                None => DegradationPredictor::new(prediction_config)
-                    .train_with_columns(&columns, &categorization, &degradation)
-                    .map(|report| (report, None)),
+        let (prediction, live_rmse) =
+            stage("pipeline.predict", "dds_pipeline_predict_seconds", || {
+                DegradationPredictor::new(prediction_config).fit_columns(
+                    &columns,
+                    &categorization,
+                    &degradation,
+                    prior,
+                    warm_prior.is_some(),
+                )
             })?;
 
         Ok((
@@ -371,7 +347,7 @@ impl Analysis {
                 prediction,
                 quality: quality_stats,
             },
-            warm_stats,
+            live_rmse,
         ))
     }
 
@@ -388,32 +364,24 @@ impl Analysis {
         dataset: &Dataset,
         ctx: &TrainingContext,
     ) -> Result<(AnalysisReport, TrainedModel), AnalysisError> {
-        let report = self.run(dataset)?;
-        let model = stage("pipeline.model", "dds_pipeline_model_seconds", || {
-            TrainedModel::from_report(dataset, &report, ctx)
-        });
-        Ok((report, model))
+        self.train_from(dataset, ctx, None, false).map(|(report, model, _)| (report, model))
     }
 
-    /// The incremental counterpart of [`train`](Self::train): runs
-    /// [`run_incremental`](Self::run_incremental) warm-started from
-    /// `prior` and assembles the candidate artifact.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same stage errors as
-    /// [`run_incremental`](Self::run_incremental).
-    pub fn train_incremental(
+    /// [`train`](Self::train) through `run_impl` with an optional prior
+    /// and `warm` flag, also returning the prior's live RMSE — the one
+    /// entry point behind every `OnlineTrainer` refit path.
+    pub(crate) fn train_from(
         &self,
         dataset: &Dataset,
-        prior: &TrainedModel,
         ctx: &TrainingContext,
-    ) -> Result<(AnalysisReport, TrainedModel, WarmPredictStats), AnalysisError> {
-        let (report, stats) = self.run_incremental(dataset, prior)?;
+        prior: Option<&TrainedModel>,
+        warm: bool,
+    ) -> Result<(AnalysisReport, TrainedModel, Option<f64>), AnalysisError> {
+        let (report, live_rmse) = self.run_impl(dataset, prior, warm)?;
         let model = stage("pipeline.model", "dds_pipeline_model_seconds", || {
             TrainedModel::from_report(dataset, &report, ctx)
         });
-        Ok((report, model, stats))
+        Ok((report, model, live_rmse))
     }
 }
 

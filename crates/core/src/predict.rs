@@ -17,6 +17,7 @@ use crate::categorize::Categorization;
 use crate::columnar::FleetColumns;
 use crate::degradation::GroupDegradation;
 use crate::error::AnalysisError;
+use crate::model::TrainedModel;
 use dds_regtree::{FitScratch, RegressionTree, TreeConfig};
 use dds_smartsim::{Attribute, Dataset, NUM_ATTRIBUTES};
 use dds_stats::hypothesis::rank_sum_test;
@@ -66,20 +67,6 @@ impl Default for PredictionConfig {
 /// absolute budget (`tests/online_learning.rs`); thinning further starts
 /// to eat that headroom without a matching latency win.
 pub const WARM_GOOD_TRAIN_RATIO: f64 = 1.5;
-
-/// Byproducts of [`DegradationPredictor::train_with_columns_warm`]: the
-/// live RMSE sample for the drift channel and the train-thinning tallies.
-#[derive(Debug, Clone, Default)]
-pub struct WarmPredictStats {
-    /// Mean RMSE of the *prior* model's trees over the warm test splits
-    /// (the live half of the RMSE drift comparison); `None` when no prior
-    /// group index matched the window's groups.
-    pub live_rmse: Option<f64>,
-    /// Train rows kept across groups after good-row thinning.
-    pub train_rows_kept: usize,
-    /// Good train rows dropped across groups by the thinning.
-    pub train_rows_thinned: usize,
-}
 
 /// Trained predictor and its Table III accuracy for one group.
 #[derive(Debug, Clone)]
@@ -213,9 +200,10 @@ impl DegradationPredictor {
     /// pool, sample assembly and the regression trees all work on
     /// per-attribute columns ([`RegressionTree::fit_columns`] with its
     /// presorted split scans), drives resolve through the O(1) position
-    /// map, and only the test rows are materialized row-major for scoring.
-    /// The random sampling, shuffle and split consume the seeded RNG in
-    /// exactly the old order, so the report is bit-identical.
+    /// map, and good samples are read from the pool instead of being
+    /// copied. The random sampling, shuffle and split consume the seeded
+    /// RNG in exactly the row path's order, so the report is
+    /// bit-identical.
     ///
     /// # Errors
     ///
@@ -228,12 +216,42 @@ impl DegradationPredictor {
         categorization: &Categorization,
         degradation: &[GroupDegradation],
     ) -> Result<PredictionReport, AnalysisError> {
+        self.fit_columns(columns, categorization, degradation, None, false)
+            .map(|(report, _)| report)
+    }
+
+    /// The one column fit behind cold training and incremental refit.
+    ///
+    /// Only the failed rows are materialized into columns; good rows stay
+    /// lazy as pick indices into the good pool (the row path's
+    /// `random_range` draws). Sample index `i` addresses failed row `i`
+    /// for `i < n_failed`, else `good_pool[good_picks[i - n_failed]]` with
+    /// label `1.0` — the sample the row path appends at that index.
+    ///
+    /// A `warm` fit thins the good rows of each train split to
+    /// [`WARM_GOOD_TRAIN_RATIO`] × the split's failed rows, cutting
+    /// tree-fit cost by roughly the good-sample ratio while keeping every
+    /// failed row; its quality cost is pinned by the tolerance suite in
+    /// `tests/online_learning.rs`. The test split is never thinned, so
+    /// warm and cold fits report RMSE over the same held-out rows. With a
+    /// `prior`, every prior tree whose group index matches is scored on
+    /// those rows as well; the mean over matched groups is the live RMSE
+    /// of the drift channel (`None` when no group matched).
+    pub(crate) fn fit_columns(
+        &self,
+        columns: &FleetColumns,
+        categorization: &Categorization,
+        degradation: &[GroupDegradation],
+        prior: Option<&TrainedModel>,
+        warm: bool,
+    ) -> Result<(PredictionReport, Option<f64>), AnalysisError> {
         self.validate_config()?;
         let _span = dds_obs::span!(
             dds_obs::Level::Debug,
             "predict.train",
             groups = categorization.num_groups(),
             train_fraction = self.config.train_fraction,
+            warm = warm,
         );
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let good_pool = {
@@ -242,138 +260,14 @@ impl DegradationPredictor {
         };
 
         // Per-group working memory, allocated once and recycled across the
-        // loop. Freeing the multi-megabyte sample/train buffers after every
+        // loop. Freeing the multi-megabyte train/test buffers after every
         // group lets glibc's main arena trim the heap back to the OS, and
         // the next group then refaults (and kernel-zeroes) every page;
         // reuse keeps the pages hot. Worker-thread fits get the same effect
         // for free from their per-thread arenas — this closes the gap for
         // the sequential path.
-        let mut sample_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
-        let mut sample_ys: Vec<f64> = Vec::new();
-        let mut finite: Vec<bool> = Vec::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut train_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
-        let mut train_y: Vec<f64> = Vec::new();
-        let mut test_flat: Vec<f64> = Vec::new();
-        let mut test_y: Vec<f64> = Vec::new();
-        let mut fit_scratch = FitScratch::default();
-
-        let mut groups = Vec::with_capacity(categorization.num_groups());
-        for group in categorization.groups() {
-            let signature = self.group_signature(group, degradation)?;
-            {
-                let _span =
-                    dds_obs::span!(dds_obs::Level::Debug, "predict.assemble", group = group.index,);
-                self.assemble_sample_columns(
-                    columns,
-                    group,
-                    &signature,
-                    &good_pool,
-                    &mut rng,
-                    &mut sample_cols,
-                    &mut sample_ys,
-                    &mut finite,
-                )?;
-            }
-            let n = sample_ys.len();
-
-            // Shuffled 70/30 split — the same RNG draws as the row path.
-            let _span =
-                dds_obs::span!(dds_obs::Level::Debug, "predict.split_gather", group = group.index,);
-            order.clear();
-            order.extend(0..n);
-            order.shuffle(&mut rng);
-            let cut = ((n as f64) * self.config.train_fraction).round() as usize;
-            let cut = cut.clamp(1, n - 1);
-            let (train_idx, test_idx) = order.split_at(cut);
-            for (col, samples) in train_cols.iter_mut().zip(&sample_cols) {
-                col.clear();
-                col.extend(train_idx.iter().map(|&i| samples[i]));
-            }
-            let train_x = ColMatrix::from_columns(std::mem::take(&mut train_cols))?;
-            train_y.clear();
-            train_y.extend(train_idx.iter().map(|&i| sample_ys[i]));
-            // Test rows are only read once for scoring — gather them into
-            // one flat row-major buffer.
-            test_flat.clear();
-            test_flat.reserve(test_idx.len() * NUM_ATTRIBUTES);
-            for &i in test_idx {
-                for col in &sample_cols {
-                    test_flat.push(col[i]);
-                }
-            }
-            let test_x: Vec<&[f64]> = test_flat.chunks_exact(NUM_ATTRIBUTES).collect();
-            test_y.clear();
-            test_y.extend(test_idx.iter().map(|&i| sample_ys[i]));
-            drop(_span);
-
-            let tree = RegressionTree::fit_columns_with_scratch(
-                &train_x,
-                &train_y,
-                &self.config.tree,
-                &mut fit_scratch,
-            )?;
-            let predictions = tree.predict_batch_ref(&test_x);
-            let test_rmse = rmse(&predictions, &test_y)?;
-            groups.push(GroupPrediction {
-                group_index: group.index,
-                signature,
-                tree,
-                rmse: test_rmse,
-                // Target range is [-1, 1] (§V-B: error rate over the range).
-                error_rate: test_rmse / 2.0,
-                train_samples: train_idx.len(),
-                test_samples: test_idx.len(),
-            });
-            // Hand the train columns' capacity back for the next group.
-            train_cols = train_x.into_columns();
-        }
-        Ok(PredictionReport { groups })
-    }
-
-    /// [`train_with_columns`](Self::train_with_columns) warm-started from
-    /// a prior model — the predict half of the incremental refit path.
-    ///
-    /// Sample assembly, the shuffled 70/30 split and the *test* side are
-    /// identical to the cold path (same RNG draws, same held-out rows, so
-    /// the reported RMSE is directly comparable to a cold train on the
-    /// same window). The asymmetry is on the *train* side: good rows in
-    /// the train split are thinned to [`WARM_GOOD_TRAIN_RATIO`] × the
-    /// split's failed rows (the shuffle already randomized which survive),
-    /// cutting tree-fit cost by roughly the good-sample ratio while the
-    /// failed rows — the ones carrying the degradation signature — are
-    /// all kept. The quality cost of the thinning is pinned by the
-    /// tolerance suite in `tests/online_learning.rs`.
-    ///
-    /// As a free by-product, every matched prior tree is scored on the
-    /// same test split, yielding the live half of the RMSE drift channel
-    /// without a second assembly pass.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`train_with_columns`](Self::train_with_columns).
-    pub fn train_with_columns_warm(
-        &self,
-        columns: &FleetColumns,
-        categorization: &Categorization,
-        degradation: &[GroupDegradation],
-        prior: &crate::model::TrainedModel,
-    ) -> Result<(PredictionReport, WarmPredictStats), AnalysisError> {
-        self.validate_config()?;
-        let _span = dds_obs::span!(
-            dds_obs::Level::Debug,
-            "predict.train_warm",
-            groups = categorization.num_groups(),
-            train_fraction = self.config.train_fraction,
-        );
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let good_pool = {
-            let _span = dds_obs::span!(dds_obs::Level::Debug, "predict.good_pool",);
-            columns.finite_good_pool()
-        };
-
-        let mut sample_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
-        let mut sample_ys: Vec<f64> = Vec::new();
+        let mut failed_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
+        let mut failed_ys: Vec<f64> = Vec::new();
         let mut finite: Vec<bool> = Vec::new();
         let mut good_picks: Vec<usize> = Vec::new();
         let mut order: Vec<usize> = Vec::new();
@@ -384,34 +278,38 @@ impl DegradationPredictor {
         let mut test_y: Vec<f64> = Vec::new();
         let mut fit_scratch = FitScratch::default();
 
-        let mut stats = WarmPredictStats::default();
         let mut live_total = 0.0;
         let mut live_matched = 0usize;
         let mut groups = Vec::with_capacity(categorization.num_groups());
         for group in categorization.groups() {
             let signature = self.group_signature(group, degradation)?;
-            // Good rows are *lazy* on the warm path: only the failed rows
-            // are materialized into columns; the good side is the pick
-            // indices into `good_pool` (the identical `random_range`
-            // draws the cold path consumes), and values are read from the
-            // pool on demand below. Sample index `i` addresses failed row
-            // `i` for `i < n_failed`, else `good_pool[good_picks[i -
-            // n_failed]]` with label `1.0` — the exact sample the cold
-            // path would have appended at that index.
-            self.assemble_failed_sample_columns(
-                columns,
-                group,
-                &signature,
-                &mut sample_cols,
-                &mut sample_ys,
-                &mut finite,
-            )?;
-            let n_failed = sample_ys.len();
-            self.draw_good_picks(n_failed, good_pool.len(), &mut rng, &mut good_picks);
+            {
+                let _span =
+                    dds_obs::span!(dds_obs::Level::Debug, "predict.assemble", group = group.index,);
+                self.assemble_failed_sample_columns(
+                    columns,
+                    group,
+                    &signature,
+                    &mut failed_cols,
+                    &mut failed_ys,
+                    &mut finite,
+                )?;
+                self.draw_good_picks(failed_ys.len(), good_pool.len(), &mut rng, &mut good_picks);
+            }
+            let n_failed = failed_ys.len();
             let n = n_failed + good_picks.len();
+            let row = |i: usize| -> [f64; NUM_ATTRIBUTES] {
+                if i < n_failed {
+                    std::array::from_fn(|a| failed_cols[a][i])
+                } else {
+                    good_pool[good_picks[i - n_failed]]
+                }
+            };
+            let label = |i: usize| if i < n_failed { failed_ys[i] } else { 1.0 };
 
-            // Shuffled 70/30 split — the same RNG draws as the cold path,
-            // so warm and cold score the same held-out rows.
+            // Shuffled 70/30 split — the same RNG draws as the row path.
+            let _span =
+                dds_obs::span!(dds_obs::Level::Debug, "predict.split_gather", group = group.index,);
             order.clear();
             order.extend(0..n);
             order.shuffle(&mut rng);
@@ -419,63 +317,52 @@ impl DegradationPredictor {
             let cut = cut.clamp(1, n - 1);
             let (train_idx, test_idx) = order.split_at(cut);
 
-            // Thin the good rows of the train split (sample indices
-            // `>= n_failed` are the appended good rows). Keeping the
-            // first survivors in split order is already a uniform random
-            // subsample — the shuffle above did the randomizing — so no
-            // extra RNG draws are consumed.
-            let failed_train = train_idx.iter().filter(|&&i| i < n_failed).count();
-            let good_cap = ((failed_train as f64) * WARM_GOOD_TRAIN_RATIO).ceil() as usize;
+            // A warm fit keeps only the first good rows of the train split:
+            // the shuffle already made them a uniform random subsample, so
+            // the thinning consumes no extra RNG draws.
+            let mut good_left = if warm {
+                let failed_train = train_idx.iter().filter(|&&i| i < n_failed).count();
+                ((failed_train as f64) * WARM_GOOD_TRAIN_RATIO).ceil() as usize
+            } else {
+                usize::MAX
+            };
             kept.clear();
-            let mut good_kept = 0usize;
             for &i in train_idx {
                 if i < n_failed {
                     kept.push(i);
-                } else if good_kept < good_cap {
-                    good_kept += 1;
+                } else if good_left > 0 {
+                    good_left -= 1;
                     kept.push(i);
                 }
             }
-            stats.train_rows_kept += kept.len();
-            stats.train_rows_thinned += train_idx.len() - kept.len();
-
-            for (a, col) in train_cols.iter_mut().enumerate() {
+            for col in &mut train_cols {
                 col.clear();
-                col.extend(kept.iter().map(|&i| {
-                    if i < n_failed {
-                        sample_cols[a][i]
-                    } else {
-                        good_pool[good_picks[i - n_failed]][a]
-                    }
-                }));
+                col.reserve(kept.len());
+            }
+            for &i in &kept {
+                for (col, v) in train_cols.iter_mut().zip(row(i)) {
+                    col.push(v);
+                }
             }
             let train_x = ColMatrix::from_columns(std::mem::take(&mut train_cols))?;
             train_y.clear();
-            train_y
-                .extend(kept.iter().map(|&i| if i < n_failed { sample_ys[i] } else { 1.0 }));
+            train_y.extend(kept.iter().map(|&i| label(i)));
+            // Test rows are only read once for scoring — gather them into
+            // one flat row-major buffer.
             test_flat.clear();
             test_flat.reserve(test_idx.len() * NUM_ATTRIBUTES);
             for &i in test_idx {
-                if i < n_failed {
-                    for col in &sample_cols {
-                        test_flat.push(col[i]);
-                    }
-                } else {
-                    test_flat.extend_from_slice(&good_pool[good_picks[i - n_failed]]);
-                }
+                test_flat.extend_from_slice(&row(i));
             }
-            let test_x: Vec<&[f64]> = test_flat.chunks_exact(NUM_ATTRIBUTES).collect();
             test_y.clear();
-            test_y
-                .extend(test_idx.iter().map(|&i| if i < n_failed { sample_ys[i] } else { 1.0 }));
+            test_y.extend(test_idx.iter().map(|&i| label(i)));
+            let test_x: Vec<&[f64]> = test_flat.chunks_exact(NUM_ATTRIBUTES).collect();
+            drop(_span);
 
-            // Live half of the RMSE drift channel: the prior (serving)
-            // tree scored on exactly the rows the fresh tree is tested on.
             if let Some(prior_group) =
-                prior.groups.iter().find(|g| g.group_index == group.index)
+                prior.and_then(|p| p.groups.iter().find(|g| g.group_index == group.index))
             {
-                let live_predictions = prior_group.tree.predict_batch_ref(&test_x);
-                live_total += rmse(&live_predictions, &test_y)?;
+                live_total += rmse(&prior_group.tree.predict_batch_ref(&test_x), &test_y)?;
                 live_matched += 1;
             }
 
@@ -494,13 +381,14 @@ impl DegradationPredictor {
                 rmse: test_rmse,
                 // Target range is [-1, 1] (§V-B: error rate over the range).
                 error_rate: test_rmse / 2.0,
-                train_samples: kept.len(),
+                train_samples: train_y.len(),
                 test_samples: test_idx.len(),
             });
+            // Hand the train columns' capacity back for the next group.
             train_cols = train_x.into_columns();
         }
-        stats.live_rmse = (live_matched > 0).then(|| live_total / live_matched as f64);
-        Ok((PredictionReport { groups }, stats))
+        let live_rmse = (live_matched > 0).then(|| live_total / live_matched as f64);
+        Ok((PredictionReport { groups }, live_rmse))
     }
 
     fn validate_config(&self) -> Result<(), AnalysisError> {
@@ -621,109 +509,12 @@ impl DegradationPredictor {
         Ok((xs, ys))
     }
 
-    /// Scores a *prior* (serving) model's per-group trees against the
-    /// labeled sample sets of a freshly analyzed window — the "live
-    /// RMSE" half of the RMSE drift channel. For every group of the new
-    /// window's report whose paper-order index also exists in `prior`,
-    /// the window's §V-B sample set (failed samples labeled by the new
-    /// signature, 10× good samples labeled 1) is assembled with a
-    /// deterministic RNG and pushed through the prior tree; the result
-    /// is the mean RMSE over matched groups. Rows are normalized by the
-    /// window's own scaler, so the number answers "how well would the
-    /// serving trees label what the fleet looks like *now*" — the
-    /// quantity drift compares against the artifact's training RMSE.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::UnsuitableDataset`] when no group index
-    /// matches between the window and the prior model; propagates sample
-    /// assembly errors.
-    pub fn score_prior_rmse(
-        &self,
-        prior: &crate::model::TrainedModel,
-        dataset: &Dataset,
-        report: &crate::pipeline::AnalysisReport,
-    ) -> Result<f64, AnalysisError> {
-        let _span = dds_obs::span!(dds_obs::Level::Debug, "predict.score_prior",);
-        // Independent deterministic stream — must not perturb (or depend
-        // on) the training draws.
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x5C0E);
-        let good_pool: Vec<[f64; NUM_ATTRIBUTES]> = dataset
-            .good_drives()
-            .flat_map(|d| d.records().iter().map(|r| dataset.normalize_record(r)))
-            .filter(|row| row.iter().all(|v| v.is_finite()))
-            .collect();
-        let mut total = 0.0;
-        let mut matched = 0usize;
-        for group in report.categorization.groups() {
-            let Some(artifact) = prior.groups.iter().find(|g| g.group_index == group.index)
-            else {
-                continue;
-            };
-            let Some(window_group) =
-                report.prediction.groups.iter().find(|g| g.group_index == group.index)
-            else {
-                continue;
-            };
-            let (xs, ys) = self.assemble_samples_with_pool(
-                dataset,
-                group,
-                &window_group.signature,
-                &good_pool,
-                &mut rng,
-            )?;
-            let rows: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-            let predictions = artifact.tree.predict_batch_ref(&rows);
-            total += rmse(&predictions, &ys)?;
-            matched += 1;
-        }
-        if matched == 0 {
-            return Err(AnalysisError::UnsuitableDataset(
-                "no prior group matches the refit window".to_string(),
-            ));
-        }
-        Ok(total / matched as f64)
-    }
-
-    /// [`assemble_samples_with_pool`](Self::assemble_samples_with_pool)
-    /// straight into column-major sample storage: per drive, a columnwise
-    /// finite mask selects the usable rows, then each attribute column is
-    /// appended in one contiguous pass — no per-record `Vec` rows. Sample
-    /// order, labels and RNG draws match the row path exactly.
-    ///
-    /// Writes into caller-owned buffers (`cols`, `ys`, `finite`) so the
-    /// per-group loop in [`train_with_columns`](Self::train_with_columns)
-    /// reuses their capacity instead of reallocating every group; each is
-    /// cleared before use. Returns the number of failed-drive rows, which
-    /// always occupy the sample prefix (good rows are appended after).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_sample_columns<R: rand::Rng + ?Sized>(
-        &self,
-        columns: &FleetColumns,
-        group: &crate::categorize::FailureGroup,
-        signature: &SignatureModel,
-        good_pool: &[[f64; NUM_ATTRIBUTES]],
-        rng: &mut R,
-        cols: &mut [Vec<f64>],
-        ys: &mut Vec<f64>,
-        finite: &mut Vec<bool>,
-    ) -> Result<usize, AnalysisError> {
-        self.assemble_failed_sample_columns(columns, group, signature, cols, ys, finite)?;
-        let n_failed = ys.len();
-        let mut picks = Vec::new();
-        self.draw_good_picks(n_failed, good_pool.len(), rng, &mut picks);
-        for &pick in &picks {
-            for (col, &v) in cols.iter_mut().zip(good_pool[pick].iter()) {
-                col.push(v);
-            }
-            ys.push(1.0);
-        }
-        Ok(n_failed)
-    }
-
-    /// The failed-drive half of sample assembly: every finite record of
-    /// the group's drives, labeled by the group signature. These rows
-    /// always occupy the sample prefix.
+    /// The failed-drive half of sample assembly, straight into column-major
+    /// storage: per drive, a columnwise finite mask selects the usable
+    /// rows, then each attribute column is appended in one contiguous pass.
+    /// Rows and labels match the row path's failed prefix exactly. Writes
+    /// into caller-owned buffers (each cleared first) so the per-group loop
+    /// reuses their capacity.
     fn assemble_failed_sample_columns(
         &self,
         columns: &FleetColumns,
@@ -774,10 +565,9 @@ impl DegradationPredictor {
     }
 
     /// Draws the good-row pool picks for a group of `n_failed` failed
-    /// samples — `good_sample_ratio ×` as many, with replacement. Exactly
-    /// this RNG-draw sequence is consumed whether the rows are
-    /// materialized (cold path) or read lazily from the pool (warm path),
-    /// which is what keeps the two paths' shuffled splits identical.
+    /// samples — `good_sample_ratio ×` as many, with replacement. These are
+    /// exactly the draws the row path consumes while appending good rows,
+    /// which keeps the column fit's shuffled split identical to it.
     fn draw_good_picks<R: rand::Rng + ?Sized>(
         &self,
         n_failed: usize,

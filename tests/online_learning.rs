@@ -222,3 +222,40 @@ fn refit_window_slides_with_epochs() {
     assert_ne!(first_bytes, second_bytes, "consecutive epochs must refit differently");
     assert_eq!(second_bytes, stamped_bytes(cold_second), "no residue from the previous window");
 }
+
+#[test]
+fn fallback_refit_is_the_cold_fit_scored_against_the_prior() {
+    // A prior whose first centroid has the wrong dimension makes warm
+    // K-means reject it, forcing the fallback. The fallback is the cold
+    // fit, so its artifact matches cold training byte for byte, and the
+    // prior's trees are scored on the held-out rows they were tested on
+    // when trained — the live RMSE equals their recorded training RMSE.
+    for seed in [7u64, 23, 1051] {
+        let mut stream = StreamingFleet::new(FleetConfig::test_scale().with_seed(seed));
+        let window = stream.next_epoch();
+        let (_, cold) =
+            Analysis::new(config()).train(&window, &ctx(seed)).expect("cold training succeeds");
+        let cold_bytes = stamped_bytes(cold.clone());
+        let mut prior = cold;
+        prior.groups[0].centroid.truncate(1);
+
+        let mut trainer = OnlineTrainer::new(config());
+        trainer.begin_epoch(&window);
+        trainer.observe_batch(&hour_ordered(&window));
+        let outcome =
+            trainer.refit_with(&ctx(seed), Some(&prior)).expect("fallback refit succeeds");
+        assert_eq!(outcome.path, RefitPath::Fallback, "seed {seed}: warm K-means must reject");
+        assert_eq!(
+            stamped_bytes(outcome.model),
+            cold_bytes,
+            "seed {seed}: the fallback artifact must be the cold artifact"
+        );
+        let live = outcome.live_rmse.expect("a prior yields a live RMSE");
+        let training = outcome.prior_training_rmse.expect("a prior yields a training RMSE");
+        assert_eq!(
+            live.to_bits(),
+            training.to_bits(),
+            "seed {seed}: live RMSE {live} vs training RMSE {training}"
+        );
+    }
+}
