@@ -19,20 +19,19 @@
 //! Batch ingest goes through [`sanitize_profiles`] (raw profiles →
 //! clean [`Dataset`] + [`QualityStats`]); streaming ingest holds a
 //! [`FleetSanitizer`] and calls [`FleetSanitizer::admit`] per record.
-//! Every quarantine and imputation is exported to the global metrics
-//! registry (`dds_records_quarantined_total`, `dds_attrs_imputed_total`,
-//! per-reason counters) so operators can alert on quarantine rate.
+//! The gate only tallies into its [`QualityStats`] and writes no metrics:
+//! the serving path's shard coordinator publishes the quarantine and
+//! imputation counters for the records offered to it, so training,
+//! refit and shadow sanitization never inflate the serving rates.
 //!
 //! [`DriveProfile::new`]: dds_smartsim::DriveProfile::new
 
 use crate::error::AnalysisError;
-use dds_obs::metrics::Counter;
 use dds_smartsim::dataset::RawProfile;
 use dds_smartsim::{Dataset, DriveId, DriveProfile, HealthRecord, NUM_ATTRIBUTES};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// The 16-bit-saturated "no data" sentinel treated as missing by default.
 pub const SENTINEL_VALUE: f64 = 65_535.0;
@@ -299,46 +298,19 @@ impl fmt::Display for QualityStats {
     }
 }
 
-/// Cached handles into the global registry (registration happens once;
-/// `Registry::reset` keeps registrations, so handles survive test resets).
-#[derive(Debug, Clone)]
-struct QualityMetrics {
-    quarantined: Arc<Counter>,
-    imputed: Arc<Counter>,
-    by_reason: [Arc<Counter>; 4],
-}
-
-impl QualityMetrics {
-    fn new() -> Self {
-        let registry = dds_obs::metrics::global();
-        QualityMetrics {
-            quarantined: registry.counter("dds_records_quarantined_total"),
-            imputed: registry.counter("dds_attrs_imputed_total"),
-            by_reason: QUARANTINE_REASONS
-                .map(|reason| registry.counter(&format!("dds_records_quarantined_{reason}_total"))),
-        }
-    }
-}
-
 /// The streaming quality gate for a whole fleet: one per-drive gate,
-/// shared policy, cumulative [`QualityStats`], metrics export.
+/// shared policy, cumulative [`QualityStats`].
 #[derive(Debug, Clone)]
 pub struct FleetSanitizer {
     policy: QualityPolicy,
     drives: HashMap<DriveId, DriveGate>,
     stats: QualityStats,
-    metrics: QualityMetrics,
 }
 
 impl FleetSanitizer {
     /// Creates a gate with the given policy.
     pub fn new(policy: QualityPolicy) -> Self {
-        FleetSanitizer {
-            policy,
-            drives: HashMap::new(),
-            stats: QualityStats::default(),
-            metrics: QualityMetrics::new(),
-        }
+        FleetSanitizer { policy, drives: HashMap::new(), stats: QualityStats::default() }
     }
 
     /// The active policy.
@@ -354,7 +326,7 @@ impl FleetSanitizer {
     }
 
     /// Offers one record. Returns the (possibly repaired) record, or the
-    /// quarantine reason. Stats and metrics update either way.
+    /// quarantine reason. Stats update either way.
     pub fn admit(
         &mut self,
         drive: DriveId,
@@ -365,10 +337,7 @@ impl FleetSanitizer {
         match gate.sanitize(&self.policy, drive, record) {
             Ok((clean, imputed)) => {
                 self.stats.accepted += 1;
-                if imputed > 0 {
-                    self.stats.imputed_attrs += imputed as u64;
-                    self.metrics.imputed.add(imputed as u64);
-                }
+                self.stats.imputed_attrs += imputed as u64;
                 Ok(clean)
             }
             Err(e) => {
@@ -400,8 +369,6 @@ impl FleetSanitizer {
     fn quarantine_one(&mut self, error: &DataQualityError) {
         self.stats.quarantined += 1;
         self.stats.by_reason[error.reason_index()] += 1;
-        self.metrics.quarantined.inc();
-        self.metrics.by_reason[error.reason_index()].inc();
     }
 }
 

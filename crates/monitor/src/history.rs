@@ -1,12 +1,12 @@
 //! A bounded, shareable history of emitted alerts.
 //!
-//! The monitor's metrics count alerts but forget them; the `/alerts`
+//! The serving metrics count alerts but forget them; the `/alerts`
 //! endpoint needs the alerts themselves. [`AlertHistory`] keeps the most
 //! recent `capacity` alerts in a ring buffer behind a mutex (alerts are
 //! emitted at most a few per ingested record, so contention is nil) plus
 //! a lifetime total, and is shared `Arc`-style between the ingesting
-//! [`FleetMonitor`](crate::FleetMonitor) and the scrape server's handler
-//! threads.
+//! [`ShardedFleetMonitor`](crate::ShardedFleetMonitor) coordinator and
+//! the scrape server's handler threads.
 
 use crate::alert::Alert;
 use std::collections::VecDeque;

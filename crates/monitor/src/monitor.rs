@@ -2,88 +2,11 @@
 
 use crate::alert::{Alert, AlertKind, Severity};
 use crate::bundle::{ModelBundle, BASELINE_ATTRIBUTES};
-use crate::history::AlertHistory;
 use dds_core::predict::ThresholdPolicy;
 use dds_core::quality::{DataQualityError, FleetSanitizer, QualityPolicy, QualityStats};
-use dds_obs::metrics::{Counter, Gauge, Histogram};
 use dds_smartsim::{DriveId, HealthRecord};
 use dds_stats::streaming::RunningMoments;
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
-
-/// Cached handles into the global metrics registry for the monitor's
-/// counters and gauges, resolved once per [`FleetMonitor`] so the ingest
-/// hot path pays only relaxed atomic updates.
-///
-/// Metric names follow the workspace scheme (`DESIGN.md`):
-/// `dds_monitor_records_ingested_total`, `dds_monitor_alerts_total`,
-/// per-kind and per-severity alert counters, and gauges for tracked and
-/// latched drives. The gauges describe the most recently active monitor —
-/// concurrent monitors in one process overwrite each other's gauge values.
-#[derive(Debug, Clone)]
-struct MonitorMetrics {
-    records: Arc<Counter>,
-    alerts: Arc<Counter>,
-    by_kind: [Arc<Counter>; 4],
-    by_severity: [Arc<Counter>; 3],
-    drives_tracked: Arc<Gauge>,
-    latched: [Arc<Gauge>; 3],
-    ingest_seconds: Arc<Histogram>,
-}
-
-const KIND_ORDER: [AlertKind; 4] = [
-    AlertKind::DegradationPrediction,
-    AlertKind::VendorThreshold,
-    AlertKind::ThermalRisk,
-    AlertKind::TypeReclassification,
-];
-
-const SEVERITY_ORDER: [Severity; 3] = [Severity::Watch, Severity::Warning, Severity::Critical];
-
-fn kind_index(kind: AlertKind) -> usize {
-    KIND_ORDER.iter().position(|&k| k == kind).expect("all kinds listed")
-}
-
-fn severity_index(severity: Severity) -> usize {
-    SEVERITY_ORDER.iter().position(|&s| s == severity).expect("all severities listed")
-}
-
-impl MonitorMetrics {
-    fn new() -> Self {
-        let registry = dds_obs::metrics::global();
-        MonitorMetrics {
-            records: registry.counter("dds_monitor_records_ingested_total"),
-            alerts: registry.counter("dds_monitor_alerts_total"),
-            by_kind: [
-                registry.counter("dds_monitor_alerts_degradation_prediction_total"),
-                registry.counter("dds_monitor_alerts_vendor_threshold_total"),
-                registry.counter("dds_monitor_alerts_thermal_risk_total"),
-                registry.counter("dds_monitor_alerts_type_reclassification_total"),
-            ],
-            by_severity: [
-                registry.counter("dds_monitor_alerts_watch_total"),
-                registry.counter("dds_monitor_alerts_warning_total"),
-                registry.counter("dds_monitor_alerts_critical_total"),
-            ],
-            drives_tracked: registry.gauge("dds_monitor_drives_tracked"),
-            latched: [
-                registry.gauge("dds_monitor_drives_latched_watch"),
-                registry.gauge("dds_monitor_drives_latched_warning"),
-                registry.gauge("dds_monitor_drives_latched_critical"),
-            ],
-            ingest_seconds: registry.histogram("dds_monitor_ingest_seconds"),
-        }
-    }
-
-    fn count_alerts(&self, alerts: &[Alert]) {
-        for alert in alerts {
-            self.alerts.inc();
-            self.by_kind[kind_index(alert.kind)].inc();
-            self.by_severity[severity_index(alert.severity)].inc();
-        }
-    }
-}
 
 /// Configuration of the escalation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,29 +97,24 @@ struct DriveState {
 /// Alerts only escalate (watch → warning → critical per drive); recoveries
 /// reset the debounce run but never un-latch an emitted severity, so a
 /// flapping drive cannot spam the operator.
+///
+/// The monitor writes no process-global metrics: serving publishes them
+/// from the shard coordinator
+/// ([`ShardedFleetMonitor`](crate::ShardedFleetMonitor)), so a shadow
+/// scorer or a test monitor never counts into the serving totals.
 #[derive(Debug, Clone)]
 pub struct FleetMonitor {
     bundle: ModelBundle,
     config: MonitorConfig,
     drives: HashMap<DriveId, DriveState>,
-    metrics: MonitorMetrics,
-    history: Option<Arc<AlertHistory>>,
     sanitizer: FleetSanitizer,
-    /// Whether this monitor writes the shared `dds_monitor_*` gauges.
-    /// Shard workers run quiet — N monitors racing on one process-global
-    /// gauge would clobber each other — and the shard coordinator
-    /// publishes the fleet-wide aggregate instead.
-    gauges: bool,
-    /// Whether this monitor writes the shared `dds_monitor_*` counters
-    /// and histograms. Shadow scorers run fully silent: a candidate
-    /// model double-scoring the same stream must not inflate the ingest
-    /// and alert totals the watchdog budgets are computed from.
-    counters: bool,
+    alerts_emitted: u64,
 }
 
 /// A point-in-time summary of the monitor's serving state, derived from
-/// the per-drive escalation map (not from global metrics, so concurrent
-/// monitors in one process do not bleed into each other's summaries).
+/// its own per-drive escalation map and alert count (not from global
+/// metrics, so concurrent monitors in one process do not bleed into each
+/// other's summaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthStatus {
     /// Number of drives with monitoring state.
@@ -204,7 +122,7 @@ pub struct HealthStatus {
     /// Drives currently latched at each severity (watch, warning,
     /// critical).
     pub latched: [usize; 3],
-    /// Lifetime alerts recorded in the attached history (0 without one).
+    /// Lifetime alerts this monitor emitted.
     pub alerts_emitted: u64,
 }
 
@@ -227,46 +145,7 @@ impl FleetMonitor {
     /// Creates a monitor from a deployable bundle.
     pub fn new(bundle: ModelBundle, config: MonitorConfig) -> Self {
         let sanitizer = FleetSanitizer::new(config.quality);
-        FleetMonitor {
-            bundle,
-            config,
-            drives: HashMap::new(),
-            metrics: MonitorMetrics::new(),
-            history: None,
-            sanitizer,
-            gauges: true,
-            counters: true,
-        }
-    }
-
-    /// Stops this monitor from writing the process-global
-    /// `dds_monitor_drives_tracked` / `dds_monitor_drives_latched_*`
-    /// gauges. Counters and histograms (which are additive across
-    /// monitors) are unaffected. Used by sharded serving, where the
-    /// coordinator owns the aggregate gauge values.
-    #[must_use]
-    pub fn with_quiet_gauges(mut self) -> Self {
-        self.gauges = false;
-        self
-    }
-
-    /// Stops this monitor from writing the process-global
-    /// `dds_monitor_*` counters and histograms as well (implies quiet
-    /// gauges). Used by shadow scoring, where a candidate model scores
-    /// the same stream the serving model already counted — double
-    /// publication would distort every rate the watchdog budgets.
-    #[must_use]
-    pub fn with_quiet_counters(mut self) -> Self {
-        self.gauges = false;
-        self.counters = false;
-        self
-    }
-
-    /// Attaches a shared alert history; every subsequently emitted alert
-    /// is recorded into it (serving mode's `/alerts` backing store).
-    pub fn with_history(mut self, history: Arc<AlertHistory>) -> Self {
-        self.history = Some(history);
-        self
+        FleetMonitor { bundle, config, drives: HashMap::new(), sanitizer, alerts_emitted: 0 }
     }
 
     /// Number of drives with monitoring state.
@@ -284,13 +163,13 @@ impl FleetMonitor {
         let mut latched = [0usize; 3];
         for state in self.drives.values() {
             if let Some(severity) = state.latched {
-                latched[severity_index(severity)] += 1;
+                latched[severity as usize] += 1;
             }
         }
         HealthStatus {
             drives_tracked: self.drives.len(),
             latched,
-            alerts_emitted: self.history.as_ref().map_or(0, |h| h.total()),
+            alerts_emitted: self.alerts_emitted,
         }
     }
 
@@ -345,19 +224,16 @@ impl FleetMonitor {
         drive: DriveId,
         record: &HealthRecord,
     ) -> Result<Vec<Alert>, DataQualityError> {
-        // Quarantined records must not reach `records_ingested_total`:
-        // the watchdog's quarantine budget treats that counter as the
-        // accepted-record denominator.
         let cleaned = self.sanitize(drive, record)?;
         Ok(self.ingest_sanitized(drive, &cleaned))
     }
 
     /// The quality-gate stage of [`FleetMonitor::try_ingest`] on its own:
     /// admits (possibly repairing) one record or quarantines it with a
-    /// typed rejection, without touching any scoring state. Callers that
-    /// need per-stage timing (the sharded serving path's flight recorder)
-    /// run this and [`FleetMonitor::ingest_sanitized`] separately;
-    /// `try_ingest` is exactly their composition.
+    /// typed rejection, without touching any scoring state. The sharded
+    /// serving path runs this over a whole batch, then
+    /// [`FleetMonitor::ingest_sanitized`] over the records that passed;
+    /// `try_ingest` is exactly their composition, record by record.
     pub fn sanitize(
         &mut self,
         drive: DriveId,
@@ -372,31 +248,8 @@ impl FleetMonitor {
     /// watchdog budgets are built on — always pair the two stages.
     pub fn ingest_sanitized(&mut self, drive: DriveId, record: &HealthRecord) -> Vec<Alert> {
         let _span = dds_obs::span!(dds_obs::Level::Trace, "monitor.ingest", hour = record.hour);
-        let started = Instant::now();
-        let latched_before = self.latched_severity(drive);
         let alerts = self.ingest_inner(drive, record);
-        let latched_after = self.latched_severity(drive);
-        if self.counters {
-            self.metrics.ingest_seconds.observe(started.elapsed().as_secs_f64());
-            self.metrics.records.inc();
-            self.metrics.count_alerts(&alerts);
-        }
-        if let Some(history) = &self.history {
-            for alert in &alerts {
-                history.record(alert);
-            }
-        }
-        if self.gauges {
-            self.metrics.drives_tracked.set(self.drives.len() as f64);
-            if latched_before != latched_after {
-                if let Some(old) = latched_before {
-                    self.metrics.latched[severity_index(old)].add(-1.0);
-                }
-                if let Some(new) = latched_after {
-                    self.metrics.latched[severity_index(new)].add(1.0);
-                }
-            }
-        }
+        self.alerts_emitted += alerts.len() as u64;
         alerts
     }
 

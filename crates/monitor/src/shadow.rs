@@ -2,13 +2,14 @@
 //! to the serving model, silently.
 //!
 //! Before a candidate is promoted it must earn trust on real traffic.
-//! [`ShadowScorer`] wraps the candidate bundle in a fully quiet
-//! [`FleetMonitor`] (no gauges, no counters, no history — see
-//! [`FleetMonitor::with_quiet_counters`]) and replays every ingest batch
-//! the serving path processes. The candidate's alerts are *never
-//! emitted*; they are only compared against the serving model's alerts
-//! for the same batch, and the disagreement is published as
-//! `dds_shadow_*` counters:
+//! [`ShadowScorer`] wraps the candidate bundle in a plain [`FleetMonitor`]
+//! and replays every ingest batch the serving path processes. A
+//! `FleetMonitor` writes no metrics and keeps no history (the serving
+//! shard coordinator is the only publisher), so the candidate never
+//! counts into the serving ingest, alert or quarantine totals. The
+//! candidate's alerts are *never emitted*; they are only compared against
+//! the serving model's alerts for the same batch, and the disagreement is
+//! published as `dds_shadow_*` counters:
 //!
 //! * `dds_shadow_batches_total` — batches shadow-scored,
 //! * `dds_shadow_alerts_serving_total` / `dds_shadow_alerts_candidate_total`
@@ -54,7 +55,7 @@ impl ShadowScorer {
     /// *model*, not the escalation ladder.
     pub fn new(bundle: ModelBundle, config: MonitorConfig) -> Self {
         ShadowScorer {
-            monitor: FleetMonitor::new(bundle, config).with_quiet_counters(),
+            monitor: FleetMonitor::new(bundle, config),
             batches: 0,
             serving_alerts: 0,
             candidate_alerts: 0,
@@ -165,12 +166,7 @@ mod tests {
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(5_002)).run();
         let records = hour_ordered(&live);
 
-        // Both sides quiet: unit tests share the process-global registry
-        // with the rest of the suite, so nothing here may count into it.
-        // (The no-inflation property itself is pinned by the integration
-        // suite, which owns its test binary's registry.)
-        let mut serving = FleetMonitor::new(serving_bundle.clone(), MonitorConfig::default())
-            .with_quiet_counters();
+        let mut serving = FleetMonitor::new(serving_bundle.clone(), MonitorConfig::default());
         let mut shadow = ShadowScorer::new(serving_bundle, MonitorConfig::default());
 
         let mut total_serving_alerts = 0u64;
@@ -190,8 +186,7 @@ mod tests {
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(5_003)).run();
         let records = hour_ordered(&live);
 
-        let mut serving =
-            FleetMonitor::new(bundle(5_001), MonitorConfig::default()).with_quiet_counters();
+        let mut serving = FleetMonitor::new(bundle(5_001), MonitorConfig::default());
         // A candidate trained on a different fleet scores differently
         // somewhere in a full epoch.
         let mut shadow = ShadowScorer::new(bundle(5_004), MonitorConfig::default());

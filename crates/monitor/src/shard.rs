@@ -11,17 +11,27 @@
 //! coordinator's merge — a stable sort by `(hour, drive)` — reproduces
 //! the single-monitor alert stream byte for byte at any shard count.
 //!
+//! The coordinator is also the one publisher of serving metrics. Shard
+//! workers write nothing process-global except one
+//! `dds_monitor_ingest_seconds` observation per scored record; each
+//! batch reply carries the shard's quality tallies, alerts and stage
+//! clocks, and the coordinator adds them to the ingest, alert,
+//! quarantine and imputation counters once per merged batch, next to the
+//! fleet-wide drive gauges. A [`FleetMonitor`] scoring outside a
+//! coordinator (a shadow candidate, a test) therefore counts into
+//! nothing.
+//!
 //! [`IngestQueue`] is the bounded intake in front of the coordinator:
 //! HTTP batches are queued if there is room and **shed** (counted, 429)
 //! if not, so overload degrades the ingest SLO instead of deadlocking the
 //! serve loop; the watchdog's shed budget flips `/healthz` when shedding
 //! exceeds its ratio.
 
-use crate::alert::Alert;
+use crate::alert::{Alert, AlertKind, Severity};
 use crate::bundle::ModelBundle;
 use crate::history::AlertHistory;
 use crate::monitor::{FleetMonitor, HealthStatus, MonitorConfig};
-use dds_core::quality::QualityStats;
+use dds_core::quality::{QualityStats, QUARANTINE_REASONS};
 use dds_obs::journal::{BatchSpan, FlightRecorder, ShardSpan};
 use dds_obs::metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 use dds_smartsim::{DriveId, HealthRecord};
@@ -67,19 +77,33 @@ pub fn shard_for(drive: DriveId, shards: usize) -> usize {
     (hash % shards as u64) as usize
 }
 
-/// One batch's result from a shard worker, including the span fields the
-/// flight recorder assembles into a [`BatchSpan`]. The count fields are
-/// always filled (they fall out of the accept/quarantine branch anyway);
-/// the stage clocks are only non-zero for timed jobs.
+/// One batch's result from a shard worker: its alerts, the quality
+/// tallies it added, the two stage clocks the flight recorder assembles
+/// into a [`BatchSpan`], and the shard's gauge state after it.
 struct ShardBatch {
     alerts: Vec<Alert>,
-    records: u64,
-    accepted: u64,
-    quarantined: u64,
+    quality: QualityStats,
     sanitize_seconds: f64,
     ingest_seconds: f64,
     drives_tracked: usize,
     latched: [usize; 3],
+}
+
+/// The tallies a sanitizer gained between two of its cumulative
+/// snapshots.
+fn quality_delta(after: &QualityStats, before: &QualityStats) -> QualityStats {
+    let mut by_reason = after.by_reason;
+    for (n, earlier) in by_reason.iter_mut().zip(before.by_reason) {
+        *n -= earlier;
+    }
+    QualityStats {
+        ingested: after.ingested - before.ingested,
+        accepted: after.accepted - before.accepted,
+        quarantined: after.quarantined - before.quarantined,
+        imputed_attrs: after.imputed_attrs - before.imputed_attrs,
+        drives_dropped: after.drives_dropped - before.drives_dropped,
+        by_reason,
+    }
 }
 
 /// Point-in-time state of one shard, for the `/shards` endpoint, the
@@ -130,10 +154,6 @@ impl ShardStatus {
 enum Job {
     Batch {
         records: Vec<(DriveId, HealthRecord)>,
-        /// Whether to run the per-record stage clocks (sanitize/ingest
-        /// wall time). Only true when a flight recorder is attached, so
-        /// the unattached path pays zero per-record timing overhead.
-        timed: bool,
         reply: SyncSender<(usize, ShardBatch)>,
     },
     NewSession {
@@ -156,65 +176,49 @@ struct Worker {
     handle: Option<thread::JoinHandle<()>>,
 }
 
-fn worker_loop(shard: usize, bundle: ModelBundle, config: MonitorConfig, jobs: Receiver<Job>) {
-    let mut monitor = FleetMonitor::new(bundle, config).with_quiet_gauges();
+fn worker_loop(
+    shard: usize,
+    mut monitor: FleetMonitor,
+    record_seconds: Arc<Histogram>,
+    jobs: Receiver<Job>,
+) {
     // Cheap per-shard lifetime tallies behind `/shards` and the
-    // per-shard time-series rings: two clock reads per *batch* (not per
-    // record) and a handful of integer adds, so they stay on even when
-    // no recorder is attached.
+    // per-shard time-series rings.
     let mut batches = 0u64;
     let mut batch_buckets = [0u64; HISTOGRAM_BUCKETS];
-    let mut alerts_emitted = 0u64;
     while let Ok(job) = jobs.recv() {
         match job {
-            Job::Batch { records, timed, reply } => {
+            Job::Batch { mut records, reply } => {
                 let started = Instant::now();
+                let before = *monitor.quality_stats();
+                // The quality gate over the whole batch: repair records in
+                // place, drop the quarantined ones. Gate and scoring state
+                // are disjoint, so this equals `try_ingest` record by record.
+                records.retain_mut(|(drive, record)| match monitor.sanitize(*drive, record) {
+                    Ok(cleaned) => {
+                        *record = cleaned;
+                        true
+                    }
+                    Err(_) => false,
+                });
+                let sanitize_seconds = started.elapsed().as_secs_f64();
                 let mut alerts = Vec::new();
-                let total = records.len() as u64;
-                let mut accepted = 0u64;
-                let mut quarantined = 0u64;
-                let mut sanitize_seconds = 0.0;
                 let mut ingest_seconds = 0.0;
-                if timed {
-                    // Per-record stage clocks for the flight recorder:
-                    // same sanitize→ingest composition as `try_ingest`,
-                    // with an `Instant` read between the stages.
-                    for (drive, record) in &records {
-                        let gate = Instant::now();
-                        let admitted = monitor.sanitize(*drive, record);
-                        sanitize_seconds += gate.elapsed().as_secs_f64();
-                        match admitted {
-                            Ok(cleaned) => {
-                                accepted += 1;
-                                let score = Instant::now();
-                                alerts.append(&mut monitor.ingest_sanitized(*drive, &cleaned));
-                                ingest_seconds += score.elapsed().as_secs_f64();
-                            }
-                            Err(_) => quarantined += 1,
-                        }
-                    }
-                } else {
-                    for (drive, record) in &records {
-                        match monitor.try_ingest(*drive, record) {
-                            Ok(mut raised) => {
-                                accepted += 1;
-                                alerts.append(&mut raised);
-                            }
-                            Err(_) => quarantined += 1,
-                        }
-                    }
+                for (drive, record) in &records {
+                    let score = Instant::now();
+                    alerts.append(&mut monitor.ingest_sanitized(*drive, record));
+                    let seconds = score.elapsed().as_secs_f64();
+                    record_seconds.observe(seconds);
+                    ingest_seconds += seconds;
                 }
                 batches += 1;
                 batch_buckets[Histogram::bucket_index(started.elapsed().as_secs_f64())] += 1;
-                alerts_emitted += alerts.len() as u64;
                 let status = monitor.health_status();
                 let _ = reply.send((
                     shard,
                     ShardBatch {
                         alerts,
-                        records: total,
-                        accepted,
-                        quarantined,
+                        quality: quality_delta(monitor.quality_stats(), &before),
                         sanitize_seconds,
                         ingest_seconds,
                         drives_tracked: status.drives_tracked,
@@ -237,7 +241,7 @@ fn worker_loop(shard: usize, bundle: ModelBundle, config: MonitorConfig, jobs: R
                     drives_tracked: status.drives_tracked,
                     latched: status.latched,
                     quality: *monitor.quality_stats(),
-                    alerts_emitted,
+                    alerts_emitted: status.alerts_emitted,
                     batches,
                     batch_buckets,
                 });
@@ -246,11 +250,23 @@ fn worker_loop(shard: usize, bundle: ModelBundle, config: MonitorConfig, jobs: R
     }
 }
 
-/// Cached handles for the coordinator's aggregate metrics.
+/// Cached handles for every serving metric the coordinator publishes.
 #[derive(Debug)]
 struct CoordinatorMetrics {
     shards: Arc<Gauge>,
     batch_seconds: Arc<Histogram>,
+    /// Per-record scoring time, observed by the shard workers.
+    record_seconds: Arc<Histogram>,
+    records: Arc<Counter>,
+    alerts: Arc<Counter>,
+    /// Indexed by `AlertKind as usize`.
+    alerts_by_kind: [Arc<Counter>; 4],
+    /// Indexed by `Severity as usize`.
+    alerts_by_severity: [Arc<Counter>; 3],
+    quarantined: Arc<Counter>,
+    /// [`QUARANTINE_REASONS`] order.
+    quarantined_by_reason: [Arc<Counter>; 4],
+    imputed: Arc<Counter>,
     drives_tracked: Arc<Gauge>,
     latched: [Arc<Gauge>; 3],
 }
@@ -258,9 +274,27 @@ struct CoordinatorMetrics {
 impl CoordinatorMetrics {
     fn new() -> Self {
         let registry = dds_obs::metrics::global();
+        let alert_counter =
+            |label: String| registry.counter(&format!("dds_monitor_alerts_{label}_total"));
         CoordinatorMetrics {
             shards: registry.gauge("dds_ingest_shards"),
             batch_seconds: registry.histogram("dds_ingest_batch_seconds"),
+            record_seconds: registry.histogram("dds_monitor_ingest_seconds"),
+            records: registry.counter("dds_monitor_records_ingested_total"),
+            alerts: registry.counter("dds_monitor_alerts_total"),
+            alerts_by_kind: [
+                AlertKind::DegradationPrediction,
+                AlertKind::VendorThreshold,
+                AlertKind::ThermalRisk,
+                AlertKind::TypeReclassification,
+            ]
+            .map(|kind| alert_counter(kind.to_string())),
+            alerts_by_severity: [Severity::Watch, Severity::Warning, Severity::Critical]
+                .map(|severity| alert_counter(severity.to_string())),
+            quarantined: registry.counter("dds_records_quarantined_total"),
+            quarantined_by_reason: QUARANTINE_REASONS
+                .map(|reason| registry.counter(&format!("dds_records_quarantined_{reason}_total"))),
+            imputed: registry.counter("dds_attrs_imputed_total"),
             drives_tracked: registry.gauge("dds_monitor_drives_tracked"),
             latched: [
                 registry.gauge("dds_monitor_drives_latched_watch"),
@@ -276,11 +310,12 @@ impl CoordinatorMetrics {
 ///
 /// Batches go in ([`ingest_batch`]); the merged alert stream comes out in
 /// `(hour, drive)` order — byte-identical to a single monitor fed the
-/// same records, at any shard count. Shard workers run with quiet gauges;
-/// the coordinator publishes the fleet-wide `dds_monitor_drives_tracked`
-/// / `dds_monitor_drives_latched_*` aggregates after every batch, and
-/// every emitted alert is recorded into the attached [`AlertHistory`] in
-/// merged order.
+/// same records, at any shard count. After every batch the coordinator
+/// publishes the serving counters (records ingested, alerts by kind and
+/// severity, quarantines by reason, imputed attributes) and the
+/// fleet-wide `dds_monitor_drives_tracked` / `dds_monitor_drives_latched_*`
+/// gauges, and records every emitted alert into the attached
+/// [`AlertHistory`] in merged order.
 ///
 /// [`ingest_batch`]: ShardedFleetMonitor::ingest_batch
 #[derive(Debug)]
@@ -305,19 +340,19 @@ impl ShardedFleetMonitor {
     /// clone of the bundle and config.
     pub fn new(bundle: ModelBundle, config: MonitorConfig, shards: usize) -> Self {
         let shards = shards.max(1);
+        let metrics = CoordinatorMetrics::new();
         let workers = (0..shards)
             .map(|shard| {
                 let (sender, receiver) = mpsc::channel();
-                let bundle = bundle.clone();
-                let config = config.clone();
+                let monitor = FleetMonitor::new(bundle.clone(), config.clone());
+                let record_seconds = Arc::clone(&metrics.record_seconds);
                 let handle = thread::Builder::new()
                     .name(format!("dds-shard-{shard}"))
-                    .spawn(move || worker_loop(shard, bundle, config, receiver))
+                    .spawn(move || worker_loop(shard, monitor, record_seconds, receiver))
                     .expect("spawn shard worker");
                 Worker { sender: Some(sender), handle: Some(handle) }
             })
             .collect();
-        let metrics = CoordinatorMetrics::new();
         metrics.shards.set(shards as f64);
         ShardedFleetMonitor {
             workers,
@@ -336,12 +371,10 @@ impl ShardedFleetMonitor {
         self
     }
 
-    /// Attaches a flight recorder; every subsequent batch deposits one
-    /// [`BatchSpan`] (per-stage timings, shard breakdown) into it, and
-    /// workers switch on their per-record stage clocks. Without a
-    /// recorder the sharded path records nothing and times nothing
-    /// beyond the pre-existing per-batch histogram — the
-    /// instrumentation-is-inert discipline.
+    /// Attaches a flight recorder; every subsequent non-empty batch
+    /// deposits one [`BatchSpan`] (per-stage timings, shard breakdown)
+    /// into it. The stage clocks run either way, so attaching a recorder
+    /// changes no result and no timing path.
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.recorder = Some(recorder);
@@ -383,7 +416,6 @@ impl ShardedFleetMonitor {
         source: &'static str,
     ) -> Vec<Alert> {
         let started = Instant::now();
-        let timed = self.recorder.is_some();
         let shards = self.workers.len();
         let mut buckets: Vec<Vec<(DriveId, HealthRecord)>> = vec![Vec::new(); shards];
         if shards == 1 {
@@ -400,27 +432,27 @@ impl ShardedFleetMonitor {
             if bucket.is_empty() {
                 continue;
             }
-            self.send(shard, Job::Batch { records: bucket, timed, reply: reply.clone() });
+            self.send(shard, Job::Batch { records: bucket, reply: reply.clone() });
             outstanding += 1;
         }
         drop(reply);
 
         let mut alerts = Vec::new();
+        let mut quality = QualityStats::default();
         let mut shard_spans: Vec<ShardSpan> = Vec::new();
         for _ in 0..outstanding {
             let (shard, batch) = replies.recv().expect("shard worker alive");
             self.shard_state[shard] = (batch.drives_tracked, batch.latched);
-            if timed {
-                shard_spans.push(ShardSpan {
-                    shard,
-                    records: batch.records,
-                    accepted: batch.accepted,
-                    quarantined: batch.quarantined,
-                    alerts: batch.alerts.len() as u64,
-                    sanitize_seconds: batch.sanitize_seconds,
-                    ingest_seconds: batch.ingest_seconds,
-                });
-            }
+            quality.merge(&batch.quality);
+            shard_spans.push(ShardSpan {
+                shard,
+                records: batch.quality.ingested,
+                accepted: batch.quality.accepted,
+                quarantined: batch.quality.quarantined,
+                alerts: batch.alerts.len() as u64,
+                sanitize_seconds: batch.sanitize_seconds,
+                ingest_seconds: batch.ingest_seconds,
+            });
             alerts.extend(batch.alerts);
         }
         let merge_started = Instant::now();
@@ -434,19 +466,17 @@ impl ShardedFleetMonitor {
                 history.record(alert);
             }
         }
-        self.publish_gauges();
+        self.publish(&quality, &alerts);
         self.metrics.batch_seconds.observe(started.elapsed().as_secs_f64());
         if let Some(recorder) = &self.recorder {
             if !records.is_empty() {
                 shard_spans.sort_by_key(|span| span.shard);
-                let accepted: u64 = shard_spans.iter().map(|s| s.accepted).sum();
-                let quarantined: u64 = shard_spans.iter().map(|s| s.quarantined).sum();
                 recorder.record(BatchSpan {
                     source,
                     outcome: "ingested",
                     records: records.len() as u64,
-                    accepted,
-                    quarantined,
+                    accepted: quality.accepted,
+                    quarantined: quality.quarantined,
                     alerts: alerts.len() as u64,
                     merge_seconds: merge_started.elapsed().as_secs_f64(),
                     total_seconds: started.elapsed().as_secs_f64(),
@@ -458,10 +488,24 @@ impl ShardedFleetMonitor {
         alerts
     }
 
-    fn publish_gauges(&self) {
+    /// Adds one merged batch to the serving counters and refreshes the
+    /// fleet-wide gauges from the last-known shard state.
+    fn publish(&self, quality: &QualityStats, alerts: &[Alert]) {
+        let metrics = &self.metrics;
+        metrics.records.add(quality.accepted);
+        metrics.quarantined.add(quality.quarantined);
+        for (counter, &n) in metrics.quarantined_by_reason.iter().zip(&quality.by_reason) {
+            counter.add(n);
+        }
+        metrics.imputed.add(quality.imputed_attrs);
+        metrics.alerts.add(alerts.len() as u64);
+        for alert in alerts {
+            metrics.alerts_by_kind[alert.kind as usize].inc();
+            metrics.alerts_by_severity[alert.severity as usize].inc();
+        }
         let tracked: usize = self.shard_state.iter().map(|(t, _)| t).sum();
-        self.metrics.drives_tracked.set(tracked as f64);
-        for (i, gauge) in self.metrics.latched.iter().enumerate() {
+        metrics.drives_tracked.set(tracked as f64);
+        for (i, gauge) in metrics.latched.iter().enumerate() {
             let latched: usize = self.shard_state.iter().map(|(_, l)| l[i]).sum();
             gauge.set(latched as f64);
         }
@@ -534,7 +578,7 @@ impl ShardedFleetMonitor {
         HealthStatus {
             drives_tracked: statuses.iter().map(|s| s.drives_tracked).sum(),
             latched,
-            alerts_emitted: self.history.as_ref().map_or(0, |h| h.total()),
+            alerts_emitted: statuses.iter().map(|s| s.alerts_emitted).sum(),
         }
     }
 
@@ -720,26 +764,45 @@ mod tests {
         let bundle = trained_bundle(9_101);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(9_102)).run();
         let records = hour_ordered(&live);
-
-        let mut single = FleetMonitor::new(bundle.clone(), MonitorConfig::default());
-        let mut expected = Vec::new();
-        for (drive, record) in &records {
-            expected.extend(single.ingest(*drive, record));
+        // A corrupted copy that quarantines and imputes: every 17th record
+        // duplicated, one attribute of every 23rd record unreadable.
+        let mut corrupted = Vec::with_capacity(records.len() + records.len() / 17 + 1);
+        for (i, (drive, record)) in records.iter().enumerate() {
+            let mut record = record.clone();
+            if i % 23 == 0 {
+                record.values[i % NUM_ATTRIBUTES] = f64::NAN;
+            }
+            if i % 17 == 0 {
+                corrupted.push((*drive, record.clone()));
+            }
+            corrupted.push((*drive, record));
         }
 
-        for shards in [1usize, 3, 4] {
-            let mut sharded =
-                ShardedFleetMonitor::new(bundle.clone(), MonitorConfig::default(), shards);
-            let alerts = sharded.ingest_batch(&records);
-            assert_eq!(
-                alert_lines(&alerts),
-                alert_lines(&expected),
-                "{shards} shard(s) must reproduce the single-monitor stream"
-            );
-            let status = sharded.health_status();
-            assert_eq!(status.drives_tracked, single.health_status().drives_tracked);
-            assert_eq!(status.latched, single.health_status().latched);
-            assert_eq!(sharded.quality_stats().accepted, records.len() as u64);
+        for (stream, records) in [("clean", &records), ("corrupted", &corrupted)] {
+            let mut single = FleetMonitor::new(bundle.clone(), MonitorConfig::default());
+            let mut expected = Vec::new();
+            for (drive, record) in records {
+                expected.extend(single.try_ingest(*drive, record).unwrap_or_default());
+            }
+            let reference = *single.quality_stats();
+            if stream == "clean" {
+                assert_eq!(reference.accepted, records.len() as u64);
+            } else {
+                assert!(reference.quarantined > 0 && reference.imputed_attrs > 0, "{reference}");
+            }
+
+            for shards in [1usize, 3, 4] {
+                let mut sharded =
+                    ShardedFleetMonitor::new(bundle.clone(), MonitorConfig::default(), shards);
+                let alerts = sharded.ingest_batch(records);
+                assert_eq!(
+                    alert_lines(&alerts),
+                    alert_lines(&expected),
+                    "{shards} shard(s) must reproduce the single-monitor {stream} stream"
+                );
+                assert_eq!(sharded.health_status(), single.health_status(), "{stream}");
+                assert_eq!(sharded.quality_stats(), reference, "{stream}, {shards} shard(s)");
+            }
         }
     }
 

@@ -87,12 +87,14 @@ fn metrics_reflect_a_known_pipeline_and_monitoring_run() {
 
     let (training, report) = run_analysis(91_002);
     let bundle = ModelBundle::from_analysis(&training, &report);
-    let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
+    // Serving metrics are published by the shard coordinator.
+    let mut monitor = dds_monitor::ShardedFleetMonitor::new(bundle, MonitorConfig::default(), 1);
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(91_003)).run();
-    let mut alerts = 0usize;
+    let mut batch = Vec::new();
     for drive in live.drives() {
-        alerts += monitor.replay(drive.id(), drive.records()).len();
+        batch.extend(drive.records().iter().map(|r| (drive.id(), r.clone())));
     }
+    let alerts = monitor.ingest_batch(&batch).len();
     assert!(alerts > 0, "a test-scale fleet must raise alerts");
 
     let snap = metrics::global().snapshot();

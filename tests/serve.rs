@@ -563,6 +563,41 @@ fn refit_candidate_soaks_in_shadow_and_promotes_atomically() {
 }
 
 #[test]
+fn exported_quality_counters_match_the_serve_summary_under_refit() {
+    let _guard = serve_lock();
+    dds_obs::metrics::global().reset();
+
+    // Online refits sanitize their chaos-corrupted window and the shadow
+    // candidate re-scores every batch; neither may count into the serving
+    // quality counters, which must equal what the summary reports.
+    let options = ServeOptions {
+        epochs: 2,
+        tick_ms: 0,
+        refit_every: 1,
+        chaos: ChaosOptions { spec: "dup=0.04,nullattr=0.02".parse().unwrap(), seed: 7 },
+        ..test_options()
+    };
+    let summary = masked_summary(&options);
+    let line = summary
+        .lines()
+        .find_map(|l| l.strip_prefix("records quarantined: "))
+        .unwrap_or_else(|| panic!("no quarantine line in {summary}"));
+    let numbers: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let [quarantined, _offered, imputed] = numbers[..] else {
+        panic!("unparsable quarantine line {line:?}");
+    };
+    assert!(quarantined > 0 && imputed > 0, "the chaos stream must quarantine and impute: {line}");
+
+    let registry = dds_obs::metrics::global();
+    assert_eq!(registry.counter("dds_records_quarantined_total").get(), quarantined, "{summary}");
+    assert_eq!(registry.counter("dds_attrs_imputed_total").get(), imputed, "{summary}");
+}
+
+#[test]
 fn pipeline_is_bit_for_bit_deterministic_with_the_server_enabled() {
     let _guard = serve_lock();
     dds_obs::metrics::global().reset();
