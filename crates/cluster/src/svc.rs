@@ -8,6 +8,7 @@
 //! the graph in which two points are adjacent when the whole line segment
 //! between them stays inside the sphere's pre-image contour.
 
+use dds_stats::par::{par_generate, Parallelism};
 use dds_stats::{squared_euclidean, StatsError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -38,6 +39,10 @@ pub struct SvcConfig {
     pub tolerance: f64,
     /// RNG seed (pair selection order).
     pub seed: u64,
+    /// Parallelism of the labeling step's segment tests. Never affects
+    /// the labels: they depend only on the connected components, which
+    /// every worker split reproduces.
+    pub parallelism: Parallelism,
 }
 
 impl SvcConfig {
@@ -51,6 +56,7 @@ impl SvcConfig {
             max_sweeps: 200,
             tolerance: 1e-10,
             seed: 0x5FC,
+            parallelism: Parallelism::Auto,
         }
     }
 
@@ -72,6 +78,13 @@ impl SvcConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Sets the parallelism mode.
+    #[must_use]
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = parallelism;
         self
     }
 }
@@ -191,51 +204,49 @@ impl Svc {
             radius_set.iter().map(|&i| 1.0 - 2.0 * g[i] + quad).fold(0.0f64, f64::max).max(0.0);
 
         // --- cluster labeling via segment sampling + union-find ----------
-        let r2 = |x: &[f64]| -> f64 {
-            let mut k_sum = 0.0;
-            for &i in &sv {
-                let d2: f64 = x.iter().zip(&points[i]).map(|(a, b)| (a - b) * (a - b)).sum();
-                k_sum += beta[i] * (-gamma * d2).exp();
-            }
-            1.0 - 2.0 * k_sum + quad
-        };
         let tol = 1e-6 + radius2 * 1e-3;
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
+        let sphere = Sphere {
+            rows: sv.iter().flat_map(|&i| points[i].iter().copied()).collect(),
+            beta: sv.iter().map(|&i| beta[i]).collect(),
+            dim,
+            gamma,
+            quad,
+            limit: radius2 + tol,
+        };
         let samples = self.config.segment_samples.max(2);
-        let inside: Vec<bool> = (0..n).map(|i| 1.0 - 2.0 * g[i] + quad <= radius2 + tol).collect();
-        for i in 0..n {
-            if !inside[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !inside[j] {
+        let inside: Vec<bool> = (0..n).map(|i| 1.0 - 2.0 * g[i] + quad <= sphere.limit).collect();
+        // Worker w tests rows i ≡ w (mod T) against every later inside
+        // point, skipping pairs its own union-find already joins. Every
+        // edge it skips is connected through edges it found, so the union
+        // of all workers' edges has exactly the components of the
+        // sequential pass (T = 1 tests exactly its pairs), and the dense
+        // labels below depend only on those components.
+        let threads = self.config.parallelism.effective_threads().min(n);
+        let edges = par_generate(self.config.parallelism, threads, |w| {
+            let mut parent: Vec<usize> = (0..n).collect();
+            let mut sample = vec![0.0; dim];
+            let mut edges = Vec::new();
+            for i in (w..n).step_by(threads) {
+                if !inside[i] {
                     continue;
                 }
-                if find(&mut parent, i) == find(&mut parent, j) {
-                    continue;
-                }
-                let mut connected = true;
-                for step in 1..samples {
-                    let t = step as f64 / samples as f64;
-                    let mid: Vec<f64> =
-                        points[i].iter().zip(&points[j]).map(|(a, b)| a + t * (b - a)).collect();
-                    if r2(&mid) > radius2 + tol {
-                        connected = false;
-                        break;
+                for j in (i + 1)..n {
+                    if !inside[j] || find(&mut parent, i) == find(&mut parent, j) {
+                        continue;
+                    }
+                    if sphere.segment_inside(&points[i], &points[j], samples, &mut sample) {
+                        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                        parent[ri] = rj;
+                        edges.push((i, j));
                     }
                 }
-                if connected {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[ri] = rj;
-                }
             }
+            edges
+        });
+        let mut parent: Vec<usize> = (0..n).collect();
+        for (i, j) in edges.into_iter().flatten() {
+            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+            parent[ri] = rj;
         }
         // Bounded SVs / outliers: attach to the nearest inside point's
         // component.
@@ -275,6 +286,59 @@ impl Svc {
             *label_slot = label;
         }
         Ok(SvcResult { labels, num_clusters: next, gamma, radius2, support_vectors: sv })
+    }
+}
+
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
+}
+
+/// The fitted sphere as the labeling step reads it: the support vectors'
+/// rows and dual coefficients copied once into flat arrays.
+struct Sphere {
+    rows: Vec<f64>,
+    beta: Vec<f64>,
+    dim: usize,
+    gamma: f64,
+    quad: f64,
+    /// Largest `R²(x)` that still counts as inside.
+    limit: f64,
+}
+
+impl Sphere {
+    /// Whether `R²(x) = 1 − 2 Σ β_i K(x_i, x) + β'Kβ` exceeds the limit.
+    /// Stops summing once a partial sum is already inside: every term
+    /// β·K is ≥ 0, so in floating point the partial sums only grow and
+    /// `1 − 2Σ + quad` only falls.
+    fn outside(&self, x: &[f64]) -> bool {
+        let mut k_sum = 0.0;
+        for (row, b) in self.rows.chunks_exact(self.dim).zip(&self.beta) {
+            let d2: f64 = x.iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
+            k_sum += b * (-self.gamma * d2).exp();
+            if 1.0 - 2.0 * k_sum + self.quad <= self.limit {
+                return false;
+            }
+        }
+        1.0 - 2.0 * k_sum + self.quad > self.limit
+    }
+
+    /// Whether all `samples − 1` interior points of the segment `a → b`
+    /// are inside, written in turn into `sample`. The middle one goes
+    /// first: segments between clusters mostly leave the sphere there,
+    /// and the test is an AND, so the order cannot change the answer.
+    fn segment_inside(&self, a: &[f64], b: &[f64], samples: usize, sample: &mut [f64]) -> bool {
+        let middle = samples / 2;
+        std::iter::once(middle).chain((1..samples).filter(|&step| step != middle)).all(|step| {
+            let t = step as f64 / samples as f64;
+            for ((s, x), y) in sample.iter_mut().zip(a).zip(b) {
+                *s = x + t * (y - x);
+            }
+            !self.outside(sample)
+        })
     }
 }
 
@@ -368,6 +432,68 @@ mod tests {
             }
         }
         points
+    }
+
+    /// Four blobs plus five scattered points. With `C = 0.1` some of the
+    /// scattered points are bounded support vectors outside the sphere, so
+    /// the outlier-attach step runs at every width.
+    fn blobs_and_strays() -> Vec<Vec<f64>> {
+        let mut points = blobs(&[(0.0, 0.0), (6.0, 6.0), (0.0, 7.0), (7.0, 0.0)], 10);
+        points
+            .extend([[3.1, 2.7], [9.4, 0.8], [-2.5, 4.2], [5.0, -3.0], [3.3, 6.6]].map(Vec::from));
+        points
+    }
+
+    #[test]
+    fn labeling_is_pinned_in_every_mode() {
+        // (gamma factor, labels, support vectors, radius² bits), recorded
+        // from a sequential pass that tests every pair in index order.
+        type Pin = (f64, &'static [usize], &'static [usize], u64);
+        const PINS: [Pin; 3] = [
+            (
+                1.0,
+                &[0; 45],
+                &[0, 1, 16, 17, 19, 24, 28, 29, 33, 37, 41, 42, 43],
+                0x3fe2_59dd_d447_4152,
+            ),
+            (
+                4.0,
+                &[
+                    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                    1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 1, 2, 1,
+                ],
+                &[0, 1, 13, 17, 24, 28, 29, 30, 34, 38, 40, 41, 42, 43, 44],
+                0x3fe9_8605_1d8a_191c,
+            ),
+            (
+                32.0,
+                &[
+                    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2,
+                    2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 3, 2, 3, 1,
+                ],
+                &[0, 3, 7, 8, 10, 13, 14, 18, 20, 23, 28, 30, 33, 38, 40, 41, 42, 43, 44],
+                0x3feb_cfc7_bb78_0e2c,
+            ),
+        ];
+        let points = blobs_and_strays();
+        let base = suggest_gamma(&points).unwrap();
+        for par in [
+            Parallelism::Sequential,
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Threads(8),
+        ] {
+            for (factor, labels, support_vectors, radius2_bits) in PINS {
+                let config = SvcConfig::new()
+                    .with_soft_margin(0.1)
+                    .with_gamma(base * factor)
+                    .with_parallelism(par);
+                let result = Svc::new(config).fit(&points).unwrap();
+                assert_eq!(result.labels(), labels, "labels at {factor}x under {par:?}");
+                assert_eq!(result.support_vectors(), support_vectors, "{factor}x under {par:?}");
+                assert_eq!(result.radius_squared().to_bits(), radius2_bits, "{factor}x {par:?}");
+            }
+        }
     }
 
     #[test]

@@ -122,8 +122,8 @@ pub struct CategorizationConfig {
     pub run_svc: bool,
     /// RNG seed for clustering.
     pub seed: u64,
-    /// Parallelism of the elbow sweep and the final clustering; never
-    /// affects the chosen groups.
+    /// Parallelism of the elbow sweep, the final clustering and the SVC
+    /// labeling; never affects the chosen groups or the cross-check.
     pub parallelism: Parallelism,
 }
 
@@ -310,7 +310,10 @@ impl Categorizer {
             let mut best: Option<SvcAgreement> = None;
             for factor in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
                 let svc = Svc::new(
-                    SvcConfig::new().with_seed(self.config.seed).with_gamma(base * factor),
+                    SvcConfig::new()
+                        .with_seed(self.config.seed)
+                        .with_gamma(base * factor)
+                        .with_parallelism(self.config.parallelism),
                 )
                 .fit(points)?;
                 let ari = adjusted_rand_index(&assignments, svc.labels())?;

@@ -61,6 +61,11 @@ fn full_analysis_is_identical_across_modes() {
             baseline.categorization.assignments(),
             "cluster assignments diverged under {mode:?}"
         );
+        assert_eq!(
+            report.categorization.svc_agreement(),
+            baseline.categorization.svc_agreement(),
+            "SVC cross-check diverged under {mode:?}"
+        );
         for (group, base) in
             report.categorization.groups().iter().zip(baseline.categorization.groups())
         {
