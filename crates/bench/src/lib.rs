@@ -1,11 +1,14 @@
-//! Shared scaffolding for the experiment binaries and Criterion benches:
-//! scale selection, dataset construction, the standard analysis run, and
-//! paper-vs-measured comparison printing.
+//! Shared scaffolding for the experiment binaries: scale selection,
+//! dataset construction, the standard analysis run, and paper-vs-measured
+//! comparison printing.
 //!
 //! Every figure/table of the paper has a binary in `src/bin/` that prints
 //! the regenerated artifact plus the paper's reported numbers next to the
 //! measured ones. Run them with `--release`; pass `--paper-scale` for the
 //! full 23,395-drive fleet or `--test-scale` for a quick smoke run.
+//!
+//! `tests/speed_gates.rs` holds the wall-clock gates CI runs on every
+//! push. Speed itself is measured by `perfbench` (`BENCHMARK.json`).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -212,10 +212,7 @@ impl KMeans {
             }
         }
         if points.len() < initial.len() {
-            return Err(StatsError::InsufficientData {
-                needed: initial.len(),
-                got: points.len(),
-            });
+            return Err(StatsError::InsufficientData { needed: initial.len(), got: points.len() });
         }
         let _span = dds_obs::span!(
             dds_obs::Level::Debug,
@@ -888,16 +885,13 @@ mod tests {
         assert!(kmeans.refine(&[], &[vec![0.0, 0.0]]).is_err());
         assert!(kmeans.refine(&points, &[]).is_err());
         assert!(kmeans.refine(&points, &[vec![0.0]]).is_err());
-        assert!(kmeans
-            .refine(&points[..2], &[vec![0.0; 2], vec![1.0; 2], vec![2.0; 2]])
-            .is_err());
+        assert!(kmeans.refine(&points[..2], &[vec![0.0; 2], vec![1.0; 2], vec![2.0; 2]]).is_err());
     }
 
     #[test]
     fn streaming_fold_is_a_running_mean_for_one_centroid() {
         let mut stream = StreamingKMeans::new(vec![vec![0.0, 0.0]]).unwrap();
-        let points: Vec<Vec<f64>> =
-            (0..1500).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let points: Vec<Vec<f64>> = (0..1500).map(|i| vec![i as f64, (i % 7) as f64]).collect();
         stream.fold(&points).unwrap();
         assert_eq!(stream.observations(), 1500);
         // With a single centroid the mini-batch rule degenerates to the

@@ -406,7 +406,10 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig};
+    use dds_core::{
+        Analysis, AnalysisConfig, CategorizationConfig, DataQualityError, FleetSanitizer,
+        QualityPolicy,
+    };
     use dds_smartsim::stream::hour_ordered;
     use dds_smartsim::{FleetConfig, FleetSimulator};
 
@@ -576,6 +579,18 @@ mod tests {
         replayed.hour = 1;
         assert!(detector.observe(drive, &replayed), "small regressions stay ordering drift");
         assert_eq!(detector.excess_drifted(), 1);
+
+        // The sanitizer has no rollover rule: it quarantines the wrapped
+        // hour, and every later one, as out of order until a new session.
+        let mut sanitizer = FleetSanitizer::new(QualityPolicy::default());
+        assert_eq!(sanitizer.admit(drive, &late), Ok(late.clone()));
+        for record in [&wrapped, &next] {
+            let out_of_order =
+                DataQualityError::OutOfOrder { drive, last_hour: late.hour, hour: record.hour };
+            assert_eq!(sanitizer.admit(drive, record), Err(out_of_order));
+        }
+        sanitizer.new_session();
+        assert_eq!(sanitizer.admit(drive, &next), Ok(next.clone()), "a new session forgets");
     }
 
     #[test]
@@ -619,8 +634,8 @@ mod tests {
     fn baseline_carries_training_rmse_from_the_bundle() {
         let bundle = bundle(4_012);
         let baseline = DriftBaseline::from_bundle(&bundle, 0.0);
-        let expected = bundle.groups().iter().map(|g| g.rmse).sum::<f64>()
-            / bundle.groups().len() as f64;
+        let expected =
+            bundle.groups().iter().map(|g| g.rmse).sum::<f64>() / bundle.groups().len() as f64;
         assert_eq!(baseline.training_rmse().unwrap().to_bits(), expected.to_bits());
     }
 

@@ -151,9 +151,7 @@ impl PromotionGate {
     /// Serve-loop side: takes every pending request (empty almost every
     /// tick — one `Mutex` lock is the whole cost).
     pub fn take(&self) -> Vec<SyncSender<PromotionOutcome>> {
-        std::mem::take(
-            &mut *self.waiters.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
+        std::mem::take(&mut *self.waiters.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 }
 

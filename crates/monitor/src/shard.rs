@@ -791,7 +791,7 @@ mod tests {
                 assert!(reference.quarantined > 0 && reference.imputed_attrs > 0, "{reference}");
             }
 
-            for shards in [1usize, 3, 4] {
+            for shards in [1usize, 2, 3, 4, 8] {
                 let mut sharded =
                     ShardedFleetMonitor::new(bundle.clone(), MonitorConfig::default(), shards);
                 let alerts = sharded.ingest_batch(records);

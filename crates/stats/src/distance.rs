@@ -3,8 +3,7 @@
 //! §IV-C compares every health record with the failure record of the same
 //! drive using Euclidean distance (Mahalanobis was tested and rejected
 //! because "the lower Mahalanobis distances are all the same"); both are
-//! provided here, along with a few auxiliary metrics used by the clustering
-//! substrate.
+//! provided here.
 
 use crate::error::StatsError;
 use crate::matrix::Matrix;
@@ -45,45 +44,6 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
 /// ```
 pub fn euclidean(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
     Ok(squared_euclidean(a, b)?.sqrt())
-}
-
-/// Manhattan (L1) distance.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::DimensionMismatch`]
-/// for invalid input shapes.
-pub fn manhattan(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
-    check_same_len(a, b)?;
-    Ok(a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum())
-}
-
-/// Chebyshev (L∞) distance.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::DimensionMismatch`]
-/// for invalid input shapes.
-pub fn chebyshev(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
-    check_same_len(a, b)?;
-    Ok(a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max))
-}
-
-/// Cosine distance `1 − cos(a, b)`; zero vectors yield distance 1.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::DimensionMismatch`]
-/// for invalid input shapes.
-pub fn cosine(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
-    check_same_len(a, b)?;
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return Ok(1.0);
-    }
-    Ok(1.0 - dot / (na * nb))
 }
 
 /// One-shot Mahalanobis distance given a covariance matrix.
@@ -170,27 +130,12 @@ mod tests {
     fn distance_to_self_is_zero() {
         let p = [1.5, -2.0, 0.25];
         assert_eq!(euclidean(&p, &p).unwrap(), 0.0);
-        assert_eq!(manhattan(&p, &p).unwrap(), 0.0);
-        assert_eq!(chebyshev(&p, &p).unwrap(), 0.0);
     }
 
     #[test]
     fn shape_errors() {
         assert!(euclidean(&[], &[]).is_err());
         assert!(euclidean(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn manhattan_and_chebyshev() {
-        assert_eq!(manhattan(&[0.0, 0.0], &[1.0, -2.0]).unwrap(), 3.0);
-        assert_eq!(chebyshev(&[0.0, 0.0], &[1.0, -2.0]).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn cosine_orthogonal_and_parallel() {
-        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0]).unwrap() - 1.0).abs() < 1e-12);
-        assert!(cosine(&[2.0, 2.0], &[4.0, 4.0]).unwrap().abs() < 1e-12);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]).unwrap(), 1.0);
     }
 
     #[test]

@@ -1,12 +1,6 @@
-//! Time-series utilities: moving averages, exponential smoothing,
-//! autocorrelation and detrending.
-//!
-//! The degradation pipeline smooths distance curves before window
-//! extraction (§IV-C), and the simulator calibration (DESIGN.md §7) leans
-//! on the autocorrelation structure of SMART attributes; these helpers
-//! make both first-class and testable.
-
-use crate::error::StatsError;
+//! Time-series smoothing: the degradation pipeline smooths distance
+//! curves with a centered moving average before window extraction
+//! (§IV-C).
 
 /// Centered moving average with edge shrinking: the output has the same
 /// length as the input, and windows are clipped at the boundaries.
@@ -32,100 +26,6 @@ pub fn moving_average(values: &[f64], window: usize) -> Vec<f64> {
             values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
         })
         .collect()
-}
-
-/// Exponentially weighted moving average with smoothing factor
-/// `alpha ∈ (0, 1]` (1 = no smoothing); the first output equals the first
-/// input.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] for `alpha` outside `(0, 1]`
-/// and [`StatsError::EmptyInput`] for an empty series.
-pub fn ewma(values: &[f64], alpha: f64) -> Result<Vec<f64>, StatsError> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    if !(alpha > 0.0 && alpha <= 1.0) {
-        return Err(StatsError::InvalidParameter(format!("alpha {alpha} not in (0, 1]")));
-    }
-    let mut out = Vec::with_capacity(values.len());
-    let mut state = values[0];
-    out.push(state);
-    for &v in &values[1..] {
-        state = alpha * v + (1.0 - alpha) * state;
-        out.push(state);
-    }
-    Ok(out)
-}
-
-/// Sample autocorrelation at the given lag (biased estimator, the common
-/// time-series convention), in `[-1, 1]` for stationary input.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] when `lag >= values.len()` and
-/// [`StatsError::InvalidParameter`] for constant series (undefined).
-pub fn autocorrelation(values: &[f64], lag: usize) -> Result<f64, StatsError> {
-    if values.len() <= lag {
-        return Err(StatsError::InsufficientData { needed: lag + 1, got: values.len() });
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let denom: f64 = values.iter().map(|v| (v - mean) * (v - mean)).sum();
-    if denom <= 0.0 {
-        return Err(StatsError::InvalidParameter(
-            "autocorrelation undefined for a constant series".to_string(),
-        ));
-    }
-    let num: f64 = values.windows(lag + 1).map(|w| (w[0] - mean) * (w[lag] - mean)).sum();
-    Ok(num / denom)
-}
-
-/// Removes the least-squares linear trend, returning `(residuals, slope,
-/// intercept)`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] for fewer than 2 points.
-pub fn detrend(values: &[f64]) -> Result<(Vec<f64>, f64, f64), StatsError> {
-    if values.len() < 2 {
-        return Err(StatsError::InsufficientData { needed: 2, got: values.len() });
-    }
-    let n = values.len() as f64;
-    let mean_x = (n - 1.0) / 2.0;
-    let mean_y = values.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    for (i, &y) in values.iter().enumerate() {
-        let dx = i as f64 - mean_x;
-        sxx += dx * dx;
-        sxy += dx * (y - mean_y);
-    }
-    let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-    let intercept = mean_y - slope * mean_x;
-    let residuals =
-        values.iter().enumerate().map(|(i, &y)| y - (intercept + slope * i as f64)).collect();
-    Ok((residuals, slope, intercept))
-}
-
-/// Length of the final run over which the series is non-increasing within
-/// `tolerance` of its backward running maximum — the raw primitive behind
-/// the §IV-C degradation-window extraction.
-///
-/// Returns the number of steps one can walk back from the last element
-/// while staying within `tolerance` below the running maximum.
-pub fn monotone_suffix_len(values: &[f64], tolerance: f64) -> usize {
-    if values.is_empty() {
-        return 0;
-    }
-    let mut j = values.len() - 1;
-    let mut running_max = values[j];
-    while j > 0 && values[j - 1] >= running_max - tolerance {
-        running_max = running_max.max(values[j - 1]);
-        j -= 1;
-    }
-    values.len() - 1 - j
 }
 
 #[cfg(test)]
@@ -155,95 +55,5 @@ mod tests {
     fn moving_average_preserves_constants() {
         let v = vec![4.0; 10];
         assert_eq!(moving_average(&v, 5), v);
-    }
-
-    #[test]
-    fn ewma_tracks_with_lag() {
-        let v = vec![0.0, 0.0, 10.0, 10.0, 10.0];
-        let e = ewma(&v, 0.5).unwrap();
-        assert_eq!(e[0], 0.0);
-        assert!(e[2] > 0.0 && e[2] < 10.0);
-        assert!(e[4] > e[2]);
-    }
-
-    #[test]
-    fn ewma_alpha_one_is_identity() {
-        let v = vec![3.0, -1.0, 7.0];
-        assert_eq!(ewma(&v, 1.0).unwrap(), v);
-    }
-
-    #[test]
-    fn ewma_validation() {
-        assert!(ewma(&[], 0.5).is_err());
-        assert!(ewma(&[1.0], 0.0).is_err());
-        assert!(ewma(&[1.0], 1.5).is_err());
-    }
-
-    #[test]
-    fn autocorrelation_of_persistent_series_is_high() {
-        // Slow ramp: lag-1 autocorrelation near 1.
-        let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let r = autocorrelation(&v, 1).unwrap();
-        assert!(r > 0.9, "r = {r}");
-    }
-
-    #[test]
-    fn autocorrelation_of_alternating_series_is_negative() {
-        let v: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let r = autocorrelation(&v, 1).unwrap();
-        assert!(r < -0.9, "r = {r}");
-    }
-
-    #[test]
-    fn autocorrelation_lag_zero_is_one() {
-        let v = vec![1.0, 5.0, 2.0, 8.0];
-        assert!((autocorrelation(&v, 0).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_validation() {
-        assert!(autocorrelation(&[1.0, 2.0], 2).is_err());
-        assert!(autocorrelation(&[5.0; 10], 1).is_err());
-    }
-
-    #[test]
-    fn detrend_removes_linear_component() {
-        let v: Vec<f64> = (0..50).map(|i| 3.0 + 0.5 * i as f64).collect();
-        let (residuals, slope, intercept) = detrend(&v).unwrap();
-        assert!((slope - 0.5).abs() < 1e-9);
-        assert!((intercept - 3.0).abs() < 1e-9);
-        assert!(residuals.iter().all(|r| r.abs() < 1e-9));
-    }
-
-    #[test]
-    fn detrend_constant_series() {
-        let (residuals, slope, _) = detrend(&[2.0, 2.0, 2.0]).unwrap();
-        assert_eq!(slope, 0.0);
-        assert!(residuals.iter().all(|r| r.abs() < 1e-12));
-        assert!(detrend(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn monotone_suffix_on_clean_decline() {
-        // Walking back from the end, values rise: full suffix.
-        let v = vec![5.0, 4.0, 3.0, 2.0, 1.0, 0.0];
-        assert_eq!(monotone_suffix_len(&v, 0.0), 5);
-    }
-
-    #[test]
-    fn monotone_suffix_stops_at_violation() {
-        // Going backward from 0: 1, 2, 0.5 — 0.5 drops 1.5 below the
-        // running max (2), beyond tolerance 1, so the suffix covers the
-        // two steps back to the value 2.
-        let v = vec![9.0, 0.5, 2.0, 1.0, 0.0];
-        assert_eq!(monotone_suffix_len(&v, 1.0), 2);
-        assert_eq!(monotone_suffix_len(&v, 2.0), 4);
-    }
-
-    #[test]
-    fn monotone_suffix_edge_cases() {
-        assert_eq!(monotone_suffix_len(&[], 0.1), 0);
-        assert_eq!(monotone_suffix_len(&[1.0], 0.1), 0);
-        assert_eq!(monotone_suffix_len(&[1.0, 0.0], 0.0), 1);
     }
 }
