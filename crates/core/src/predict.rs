@@ -21,7 +21,7 @@ use crate::model::TrainedModel;
 use dds_regtree::{FitScratch, RegressionTree, TreeConfig};
 use dds_smartsim::{Attribute, Dataset, NUM_ATTRIBUTES};
 use dds_stats::hypothesis::rank_sum_test;
-use dds_stats::par::par_map_indexed;
+use dds_stats::par::{par_for_each_mut, par_map_indexed, split_chunks_mut, Parallelism};
 use dds_stats::{rmse, ColMatrix, SignatureModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -274,7 +274,7 @@ impl DegradationPredictor {
         let mut kept: Vec<usize> = Vec::new();
         let mut train_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
         let mut train_y: Vec<f64> = Vec::new();
-        let mut test_flat: Vec<f64> = Vec::new();
+        let mut test_rows: Vec<[f64; NUM_ATTRIBUTES]> = Vec::new();
         let mut test_y: Vec<f64> = Vec::new();
         let mut fit_scratch = FitScratch::default();
 
@@ -335,28 +335,23 @@ impl DegradationPredictor {
                     kept.push(i);
                 }
             }
+            // The gathers are bound by random reads of pool rows, so they
+            // run on several workers over contiguous chunks of the index
+            // lists, each writing its own slice of the preallocated
+            // buffers. Every row gathers the same values in every mode.
+            let par = self.config.tree.parallelism;
             for col in &mut train_cols {
-                col.clear();
-                col.reserve(kept.len());
+                col.resize(kept.len(), 0.0);
             }
-            for &i in &kept {
-                for (col, v) in train_cols.iter_mut().zip(row(i)) {
-                    col.push(v);
-                }
-            }
+            train_y.resize(kept.len(), 0.0);
+            gather_columns(par, &kept, &mut train_cols, &mut train_y, &row, &label);
             let train_x = ColMatrix::from_columns(std::mem::take(&mut train_cols))?;
-            train_y.clear();
-            train_y.extend(kept.iter().map(|&i| label(i)));
             // Test rows are only read once for scoring — gather them into
-            // one flat row-major buffer.
-            test_flat.clear();
-            test_flat.reserve(test_idx.len() * NUM_ATTRIBUTES);
-            for &i in test_idx {
-                test_flat.extend_from_slice(&row(i));
-            }
-            test_y.clear();
-            test_y.extend(test_idx.iter().map(|&i| label(i)));
-            let test_x: Vec<&[f64]> = test_flat.chunks_exact(NUM_ATTRIBUTES).collect();
+            // one row-major buffer.
+            test_rows.resize(test_idx.len(), [0.0; NUM_ATTRIBUTES]);
+            test_y.resize(test_idx.len(), 0.0);
+            gather_rows(par, test_idx, &mut test_rows, &mut test_y, &row, &label);
+            let test_x: Vec<&[f64]> = test_rows.iter().map(|r| r.as_slice()).collect();
             drop(_span);
 
             if let Some(prior_group) =
@@ -584,6 +579,66 @@ impl DegradationPredictor {
             }
         }
     }
+}
+
+/// Writes sample `idx[k]`'s attributes to `cols[a][k]` and its label to
+/// `ys[k]`, on `par` workers over contiguous chunks of `idx`. `cols` and
+/// `ys` must already hold `idx.len()` values.
+fn gather_columns(
+    par: Parallelism,
+    idx: &[usize],
+    cols: &mut [Vec<f64>],
+    ys: &mut [f64],
+    row: &(impl Fn(usize) -> [f64; NUM_ATTRIBUTES] + Sync),
+    label: &(impl Fn(usize) -> f64 + Sync),
+) {
+    let workers = par.effective_threads();
+    let mut col_chunks: Vec<_> =
+        cols.iter_mut().map(|col| split_chunks_mut(col, workers).into_iter()).collect();
+    let mut tasks = Vec::with_capacity(workers);
+    let mut rest = idx;
+    for ys in split_chunks_mut(ys, workers) {
+        let (idx, tail) = rest.split_at(ys.len());
+        rest = tail;
+        let cols: Vec<&mut [f64]> =
+            col_chunks.iter_mut().map(|c| c.next().expect("one chunk per worker")).collect();
+        tasks.push((idx, cols, ys));
+    }
+    par_for_each_mut(par, &mut tasks, |_, (idx, cols, ys)| {
+        for (k, &i) in idx.iter().enumerate() {
+            for (col, v) in cols.iter_mut().zip(row(i)) {
+                col[k] = v;
+            }
+            ys[k] = label(i);
+        }
+    });
+}
+
+/// [`gather_columns`] into row-major storage: `rows[k]` and `ys[k]` take
+/// sample `idx[k]`.
+fn gather_rows(
+    par: Parallelism,
+    idx: &[usize],
+    rows: &mut [[f64; NUM_ATTRIBUTES]],
+    ys: &mut [f64],
+    row: &(impl Fn(usize) -> [f64; NUM_ATTRIBUTES] + Sync),
+    label: &(impl Fn(usize) -> f64 + Sync),
+) {
+    let workers = par.effective_threads();
+    let mut tasks = Vec::with_capacity(workers);
+    let mut rest = idx;
+    for (rows, ys) in split_chunks_mut(rows, workers).into_iter().zip(split_chunks_mut(ys, workers))
+    {
+        let (idx, tail) = rest.split_at(ys.len());
+        rest = tail;
+        tasks.push((idx, rows, ys));
+    }
+    par_for_each_mut(par, &mut tasks, |_, (idx, rows, ys)| {
+        for ((&i, out), y) in idx.iter().zip(rows.iter_mut()).zip(ys.iter_mut()) {
+            *out = row(i);
+            *y = label(i);
+        }
+    });
 }
 
 fn median_window(windows: &[usize]) -> f64 {

@@ -25,7 +25,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-use dds_stats::par::{par_map_indexed, Parallelism};
+use dds_stats::par::{par_for_each_mut, par_map_indexed, split_chunks_mut, Parallelism};
 use dds_stats::ColMatrix;
 use std::error::Error;
 use std::fmt;
@@ -35,6 +35,14 @@ use std::fmt;
 /// only on the data, never on the machine, so tree shape is identical in
 /// every [`Parallelism`] mode.
 const PAR_SPLIT_MIN_CELLS: usize = 4_096;
+
+/// Minimum `samples × features` in a node before its ordering partition
+/// fans out to threads. A partition costs a few nanoseconds per cell,
+/// less than a split scan, so it takes a larger node than
+/// [`PAR_SPLIT_MIN_CELLS`] to repay the thread spawns. Like that gate, it
+/// depends only on the data, and the partition's output never depends on
+/// the thread count.
+const PAR_PARTITION_MIN_CELLS: usize = 1 << 16;
 
 /// Minimum batch size before predictions fan out to threads.
 const PAR_PREDICT_MIN_ROWS: usize = 2_048;
@@ -90,10 +98,11 @@ pub struct TreeConfig {
     pub min_samples_leaf: usize,
     /// Minimum SSE reduction a split must achieve to be accepted.
     pub min_impurity_decrease: f64,
-    /// Parallelism of split search during fitting and of batch prediction.
-    /// Never affects the fitted tree or its predictions — candidate
-    /// features are folded in index order with the same tie-breaking the
-    /// sequential scan uses.
+    /// Parallelism of fitting (root presort, split search, ordering
+    /// partition) and of batch prediction. Never affects the fitted tree
+    /// or its predictions — candidate features are folded in index order
+    /// with the same tie-breaking the sequential scan uses, and every
+    /// ordering is sorted and partitioned by the same sequential pass.
     pub parallelism: Parallelism,
 }
 
@@ -275,7 +284,13 @@ impl RegressionTree {
     /// row-major view of the same data, but replaces the per-node,
     /// per-feature `O(n log n)` sorts of the classic scan with one stable
     /// sort per feature at the root plus an `O(n)` stable partition per
-    /// node. The identity argument:
+    /// node. The partition is branch-free (each element is written at
+    /// both a left and a right cursor, and its flag picks which one
+    /// advances), fans the features out over `config.parallelism` on large
+    /// nodes, and carries each child's per-feature Σy and Σy² out of the
+    /// same pass, so a split scan reads its node once. The orderings are
+    /// not partitioned at all when neither child can be searched. The
+    /// identity argument:
     ///
     /// * In [`fit`](Self::fit), every node's index list is in ascending
     ///   original-row order (the root starts at `0..n` and partitioning
@@ -285,9 +300,12 @@ impl RegressionTree {
     ///   (ties ascending), and each node partitions them stably, so every
     ///   descendant's ordering also has ties ascending — the exact sequence
     ///   the per-node sort would produce.
+    /// * The carried totals fold each child's targets in that child's
+    ///   sorted order, from `-0.0` as `Iterator::sum` does, so they equal
+    ///   the totals the classic scan sums afresh.
     /// * With identical scan order, the prefix sums, thresholds,
     ///   tie-breaking, recursion order, and importances all match to the
-    ///   last bit.
+    ///   last bit, in every [`Parallelism`] mode.
     ///
     /// # Errors
     ///
@@ -311,9 +329,9 @@ impl RegressionTree {
     /// [`fit_columns`](Self::fit_columns) with caller-owned working memory.
     ///
     /// A fit allocates several arrays proportional to `rows × features`
-    /// (the presorted orderings plus partition scratch). Callers that fit
-    /// many trees back to back — the per-group loop in degradation
-    /// prediction, cross-validation sweeps — can pass the same
+    /// (the presorted orderings plus a partition spill per worker).
+    /// Callers that fit many trees back to back — the per-group loop in
+    /// degradation prediction, cross-validation sweeps — can pass the same
     /// [`FitScratch`] to every call and reuse those allocations instead of
     /// paying the allocator (and, under glibc's main arena, the
     /// heap-trim/page-fault churn of repeatedly releasing and refaulting
@@ -365,50 +383,25 @@ impl RegressionTree {
         // One stable sort per feature at the root; every node below reuses
         // these orderings through stable partitioning. Feature values and
         // targets are gathered into sorted order alongside the indices so
-        // the split scans stream them sequentially. Sequentially the
-        // orderings are refilled in place (recycling the caller's scratch
-        // capacity); with worker threads each ordering is built fresh on a
-        // worker, whose thread-local arena already recycles across fits.
+        // the split scans stream them sequentially. Each worker refills a
+        // chunk of the scratch orderings in place, recycling their
+        // capacity across fits.
         let scratch = &mut scratch.inner;
-        if matches!(config.parallelism, Parallelism::Sequential) {
-            scratch.orderings.truncate(num_features);
-            scratch.orderings.resize_with(num_features, FeatureOrdering::default);
-            for (feature, ordering) in scratch.orderings.iter_mut().enumerate() {
-                let col = matrix.col(feature);
-                ordering.rows.clear();
-                ordering.rows.extend(0..n as u32);
-                ordering.rows.sort_by(|&a, &b| {
-                    col[a as usize].partial_cmp(&col[b as usize]).expect("finite features")
-                });
-                ordering.vals.clear();
-                ordering.vals.extend(ordering.rows.iter().map(|&i| col[i as usize]));
-                ordering.ys.clear();
-                ordering.ys.extend(ordering.rows.iter().map(|&i| ys[i as usize]));
-            }
-        } else {
-            let features: Vec<usize> = (0..num_features).collect();
-            scratch.orderings = par_map_indexed(config.parallelism, &features, |_, &feature| {
-                let col = matrix.col(feature);
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                order.sort_by(|&a, &b| {
-                    col[a as usize].partial_cmp(&col[b as usize]).expect("finite features")
-                });
-                let vals: Vec<f64> = order.iter().map(|&i| col[i as usize]).collect();
-                let sorted_ys: Vec<f64> = order.iter().map(|&i| ys[i as usize]).collect();
-                FeatureOrdering { rows: order, vals, ys: sorted_ys }
-            });
-        }
+        scratch.orderings.truncate(num_features);
+        scratch.orderings.resize_with(num_features, FeatureOrdering::default);
+        let mut totals = vec![Totals::EMPTY; num_features];
+        let mut presorts: Vec<_> = scratch.orderings.iter_mut().zip(&mut totals).collect();
+        par_for_each_mut(config.parallelism, &mut presorts, |feature, (ordering, totals)| {
+            **totals = ordering.presort(matrix.col(feature), ys);
+        });
         scratch.rows.clear();
         scratch.rows.extend(0..n as u32);
         scratch.goes_left.clear();
         scratch.goes_left.resize(n, false);
-        scratch.buffer.clear();
-        scratch.buffer.reserve(n);
-        scratch.buffer_vals.clear();
-        scratch.buffer_vals.reserve(n);
-        scratch.buffer_ys.clear();
-        scratch.buffer_ys.reserve(n);
-        tree.build_columns(matrix, ys, scratch, 0, n, 0, config);
+        if scratch.spills.is_empty() {
+            scratch.spills.push(Spill::default());
+        }
+        tree.build_columns(matrix, ys, scratch, 0, n, 0, &totals, config);
         let total: f64 = tree.importances.iter().sum();
         if total > 0.0 {
             for imp in &mut tree.importances {
@@ -420,7 +413,10 @@ impl RegressionTree {
     }
 
     /// Builds a subtree over the global range `[start, end)` of the
-    /// presorted scratch arrays and returns its node id.
+    /// presorted scratch arrays and returns its node id. `totals` holds
+    /// each feature's Σy and Σy² over the range in that feature's sorted
+    /// order; it is empty when the orderings were left unpartitioned
+    /// because the node cannot be searched.
     #[allow(clippy::too_many_arguments)]
     fn build_columns(
         &mut self,
@@ -430,28 +426,33 @@ impl RegressionTree {
         start: usize,
         end: usize,
         depth: usize,
+        totals: &[Totals],
         config: &TreeConfig,
     ) -> usize {
         let n = end - start;
         let mean = scratch.rows[start..end].iter().map(|&i| ys[i as usize]).sum::<f64>() / n as f64;
-        let sse: f64 = scratch.rows[start..end]
-            .iter()
-            .map(|&i| (ys[i as usize] - mean) * (ys[i as usize] - mean))
-            .sum();
         let make_leaf = |this: &mut Self| {
             this.nodes.push(Node::Leaf { value: mean, samples: n });
             this.nodes.len() - 1
         };
-        if depth >= config.max_depth || n < config.min_samples_split || sse <= 1e-12 {
+        if depth >= config.max_depth || n < config.min_samples_split {
             return make_leaf(self);
         }
-        let Some(best) = self.best_split_columns(&scratch.orderings, start, end, sse, config)
+        let sse: f64 = scratch.rows[start..end]
+            .iter()
+            .map(|&i| (ys[i as usize] - mean) * (ys[i as usize] - mean))
+            .sum();
+        if sse <= 1e-12 {
+            return make_leaf(self);
+        }
+        let Some(best) =
+            self.best_split_columns(&scratch.orderings, totals, start, end, sse, config)
         else {
             return make_leaf(self);
         };
-        // Mark the left side once, then stably partition every ordering so
-        // relative order (ties ascending by row) survives into both
-        // children.
+        // Mark the left side once, then stably partition the row list and
+        // every ordering so relative order (ties ascending by row) survives
+        // into both children.
         let feature_col = matrix.col(best.feature);
         let mut left_count = 0usize;
         for &i in &scratch.rows[start..end] {
@@ -460,18 +461,25 @@ impl RegressionTree {
             left_count += usize::from(goes_left);
         }
         let mid = start + left_count;
-        stable_partition(&mut scratch.rows[start..end], &scratch.goes_left, &mut scratch.buffer);
-        for ordering in &mut scratch.orderings {
-            stable_partition_ordering(
-                ordering,
-                start,
-                end,
-                &scratch.goes_left,
-                &mut scratch.buffer,
-                &mut scratch.buffer_vals,
-                &mut scratch.buffer_ys,
-            );
-        }
+        let right_count = n - left_count;
+        partition_rows(
+            &mut scratch.rows[start..end],
+            &scratch.goes_left,
+            right_count,
+            &mut scratch.spills[0].rows,
+        );
+        // A child that cannot be searched becomes a leaf from `rows` alone,
+        // so the orderings only move when at least one child can split.
+        let searchable = |len: usize| len >= config.min_samples_split;
+        let children = if depth + 1 < config.max_depth
+            && (searchable(left_count) || searchable(right_count))
+        {
+            partition_orderings(scratch, start, end, right_count, config.parallelism)
+        } else {
+            Vec::new()
+        };
+        let (left_totals, right_totals): (Vec<Totals>, Vec<Totals>) =
+            children.into_iter().map(|[left, right]| (left, right)).unzip();
         self.importances[best.feature] += best.improvement;
         let node_id = self.nodes.len();
         self.nodes.push(Node::Split {
@@ -482,8 +490,10 @@ impl RegressionTree {
             left: 0,
             right: 0,
         });
-        let left = self.build_columns(matrix, ys, scratch, start, mid, depth + 1, config);
-        let right = self.build_columns(matrix, ys, scratch, mid, end, depth + 1, config);
+        let left =
+            self.build_columns(matrix, ys, scratch, start, mid, depth + 1, &left_totals, config);
+        let right =
+            self.build_columns(matrix, ys, scratch, mid, end, depth + 1, &right_totals, config);
         if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_id] {
             *l = left;
             *r = right;
@@ -493,11 +503,12 @@ impl RegressionTree {
 
     /// Column-major counterpart of [`best_split`](Self::best_split): same
     /// parallelism gate, same feature fan-out, same strictly-greater fold,
-    /// but each feature scans its presorted value/target streams instead of
-    /// sorting.
+    /// but each feature scans its presorted value/target streams, starting
+    /// from the totals its parent's partition carried, instead of sorting.
     fn best_split_columns(
         &self,
         orderings: &[FeatureOrdering],
+        totals: &[Totals],
         start: usize,
         end: usize,
         parent_sse: f64,
@@ -514,6 +525,7 @@ impl RegressionTree {
             best_split_for_feature_columns(
                 &ordering.vals[start..end],
                 &ordering.ys[start..end],
+                totals[feature],
                 parent_sse,
                 config,
                 feature,
@@ -861,11 +873,13 @@ struct BestSplit {
 /// Opaque reusable working memory for
 /// [`RegressionTree::fit_columns_with_scratch`].
 ///
-/// Holds the presorted per-feature orderings and partition buffers a
-/// columnar fit needs (several `rows × features`-sized arrays). Passing the
-/// same instance to consecutive fits recycles those allocations; contents
-/// never leak between fits. `Default::default()` is an empty scratch that
-/// grows on first use.
+/// Holds the presorted per-feature orderings (a `rows × features` array
+/// of row indices, values and targets), the node-major row list and one
+/// partition spill per worker (each grown to the largest right side it
+/// has held, plus one). Passing the same instance to consecutive fits
+/// recycles those allocations: the presort refills the orderings in
+/// place. Contents never leak between fits. `Default::default()` is an
+/// empty scratch that grows on first use.
 #[derive(Debug, Default)]
 pub struct FitScratch {
     inner: ColumnsScratch,
@@ -873,24 +887,23 @@ pub struct FitScratch {
 
 /// Mutable working state of [`RegressionTree::fit_columns`]: one presorted
 /// feature ordering per feature — the row indices plus the feature values
-/// and targets *gathered into that same order*, so split scans read three
+/// and targets *gathered into that same order*, so split scans read two
 /// sequential streams instead of chasing rows through `ys` — the
-/// node-major row list, and the partition scratch shared by every node
-/// (allocated once per fit).
+/// node-major row list with its left/right flags, and one spill per
+/// partition worker.
 #[derive(Debug, Default)]
 struct ColumnsScratch {
     orderings: Vec<FeatureOrdering>,
     rows: Vec<u32>,
     goes_left: Vec<bool>,
-    buffer: Vec<u32>,
-    buffer_vals: Vec<f64>,
-    buffer_ys: Vec<f64>,
+    spills: Vec<Spill>,
 }
 
 /// One feature's presorted view of the node ranges: `rows[k]` is the
 /// original row at sorted position `k`, `vals[k]` its feature value and
 /// `ys[k]` its target. All three are permuted identically, at the root by
-/// the stable sort and below it by [`stable_partition_ordering`].
+/// [`presort`](Self::presort) and below it by
+/// [`partition`](Self::partition).
 #[derive(Debug, Default)]
 struct FeatureOrdering {
     rows: Vec<u32>,
@@ -898,58 +911,170 @@ struct FeatureOrdering {
     ys: Vec<f64>,
 }
 
-/// Stably partitions `range` so rows flagged in `goes_left` come first,
-/// each side keeping its relative order. `buffer` is reused scratch for the
-/// right side.
-fn stable_partition(range: &mut [u32], goes_left: &[bool], buffer: &mut Vec<u32>) {
-    buffer.clear();
-    let mut write = 0usize;
-    for read in 0..range.len() {
-        let i = range[read];
-        if goes_left[i as usize] {
-            range[write] = i;
-            write += 1;
-        } else {
-            buffer.push(i);
-        }
-    }
-    range[write..].copy_from_slice(buffer);
+/// A partition worker's buffer for the right side of a node, one stream
+/// per ordering stream. Grown on demand, never shrunk; the first spill
+/// also serves the row list's partition.
+#[derive(Debug, Default)]
+struct Spill {
+    rows: Vec<u32>,
+    vals: Vec<f64>,
+    ys: Vec<f64>,
 }
 
-/// [`stable_partition`] applied to one feature ordering: rows, values and
-/// targets move together (the flag is keyed by the row index), so the
-/// three streams stay permuted identically in both children.
-fn stable_partition_ordering(
-    ordering: &mut FeatureOrdering,
+/// Σy and Σy² of a node's targets, folded in one feature's sorted order
+/// from `-0.0`, exactly as `Iterator::sum::<f64>()` folds: the totals the
+/// split scan of that feature starts from.
+#[derive(Debug, Clone, Copy)]
+struct Totals {
+    sum: f64,
+    sq: f64,
+}
+
+impl Totals {
+    /// The totals of no targets (`-0.0`, the start of a float `sum`).
+    const EMPTY: Totals = Totals { sum: -0.0, sq: -0.0 };
+
+    /// The totals of `ys`, in order.
+    fn of(ys: &[f64]) -> Totals {
+        Totals { sum: ys.iter().sum(), sq: ys.iter().map(|&y| y * y).sum() }
+    }
+
+    /// Folds `y` in when `take`, else adds `-0.0`. `x + -0.0 == x` for
+    /// every `x`, `-0.0` included, so the fold equals one over the taken
+    /// values alone; adding `0.0` (what multiplying by the flag gives)
+    /// would turn a running `-0.0` into `0.0`.
+    fn add_if(&mut self, take: bool, y: f64) {
+        self.sum += if take { y } else { -0.0 };
+        self.sq += if take { y * y } else { -0.0 };
+    }
+}
+
+impl FeatureOrdering {
+    /// Refills this ordering with a stable sort of rows `0..n` by `col`
+    /// (ties ascending by row), gathers values and targets into that
+    /// order, and returns the root's totals in it.
+    fn presort(&mut self, col: &[f64], ys: &[f64]) -> Totals {
+        self.rows.clear();
+        self.rows.extend(0..col.len() as u32);
+        self.rows.sort_by(|&a, &b| {
+            col[a as usize].partial_cmp(&col[b as usize]).expect("finite features")
+        });
+        self.vals.clear();
+        self.vals.extend(self.rows.iter().map(|&i| col[i as usize]));
+        self.ys.clear();
+        self.ys.extend(self.rows.iter().map(|&i| ys[i as usize]));
+        Totals::of(&self.ys)
+    }
+
+    /// Stably partitions `[start, end)` so rows flagged in `goes_left`
+    /// come first, moving rows, values and targets together, and returns
+    /// the (left, right) children's totals in their sorted order.
+    ///
+    /// Branch-free: every element is written both at the in-place left
+    /// cursor and at the spill's right cursor, and only the cursor its
+    /// flag selects advances; the spill is then copied back behind the
+    /// left side. The last write may land one past the right side, hence
+    /// the spill's extra slot.
+    fn partition(
+        &mut self,
+        start: usize,
+        end: usize,
+        goes_left: &[bool],
+        right_count: usize,
+        spill: &mut Spill,
+    ) -> [Totals; 2] {
+        let len = right_count + 1;
+        grow(&mut spill.rows, len);
+        grow(&mut spill.vals, len);
+        grow(&mut spill.ys, len);
+        let (rows, vals, ys) =
+            (&mut self.rows[start..end], &mut self.vals[start..end], &mut self.ys[start..end]);
+        let (spill_rows, spill_vals, spill_ys) =
+            (&mut spill.rows[..len], &mut spill.vals[..len], &mut spill.ys[..len]);
+        let mut totals = [Totals::EMPTY; 2];
+        let (mut left, mut right) = (0usize, 0usize);
+        for read in 0..rows.len() {
+            let (i, v, y) = (rows[read], vals[read], ys[read]);
+            let goes = goes_left[i as usize];
+            rows[left] = i;
+            vals[left] = v;
+            ys[left] = y;
+            spill_rows[right] = i;
+            spill_vals[right] = v;
+            spill_ys[right] = y;
+            totals[0].add_if(goes, y);
+            totals[1].add_if(!goes, y);
+            left += usize::from(goes);
+            right += usize::from(!goes);
+        }
+        debug_assert_eq!(right, right_count);
+        rows[left..].copy_from_slice(&spill_rows[..right]);
+        vals[left..].copy_from_slice(&spill_vals[..right]);
+        ys[left..].copy_from_slice(&spill_ys[..right]);
+        totals
+    }
+}
+
+/// Grows `buf` to at least `len` elements; never shrinks it.
+fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+}
+
+/// [`FeatureOrdering::partition`] for the node-major row list alone.
+fn partition_rows(range: &mut [u32], goes_left: &[bool], right_count: usize, spill: &mut Vec<u32>) {
+    grow(spill, right_count + 1);
+    let spill = &mut spill[..=right_count];
+    let (mut left, mut right) = (0usize, 0usize);
+    for read in 0..range.len() {
+        let i = range[read];
+        let goes = goes_left[i as usize];
+        range[left] = i;
+        spill[right] = i;
+        left += usize::from(goes);
+        right += usize::from(!goes);
+    }
+    debug_assert_eq!(right, right_count);
+    range[left..].copy_from_slice(&spill[..right]);
+}
+
+/// Partitions every ordering's `[start, end)` by `scratch.goes_left` and
+/// returns each feature's (left, right) child totals. On nodes of at
+/// least [`PAR_PARTITION_MIN_CELLS`] the features are split into
+/// contiguous chunks, one per worker, each worker with its own spill.
+/// Every ordering is partitioned by the same sequential pass in every
+/// mode, so the result never depends on the thread count.
+fn partition_orderings(
+    scratch: &mut ColumnsScratch,
     start: usize,
     end: usize,
-    goes_left: &[bool],
-    buffer: &mut Vec<u32>,
-    buffer_vals: &mut Vec<f64>,
-    buffer_ys: &mut Vec<f64>,
-) {
-    buffer.clear();
-    buffer_vals.clear();
-    buffer_ys.clear();
-    let mut write = start;
-    for read in start..end {
-        let i = ordering.rows[read];
-        let v = ordering.vals[read];
-        let y = ordering.ys[read];
-        if goes_left[i as usize] {
-            ordering.rows[write] = i;
-            ordering.vals[write] = v;
-            ordering.ys[write] = y;
-            write += 1;
-        } else {
-            buffer.push(i);
-            buffer_vals.push(v);
-            buffer_ys.push(y);
-        }
+    right_count: usize,
+    parallelism: Parallelism,
+) -> Vec<[Totals; 2]> {
+    let num_features = scratch.orderings.len();
+    let par = if (end - start) * num_features >= PAR_PARTITION_MIN_CELLS {
+        parallelism
+    } else {
+        Parallelism::Sequential
+    };
+    let workers = par.effective_threads().min(num_features);
+    if scratch.spills.len() < workers {
+        scratch.spills.resize_with(workers, Spill::default);
     }
-    ordering.rows[write..end].copy_from_slice(buffer);
-    ordering.vals[write..end].copy_from_slice(buffer_vals);
-    ordering.ys[write..end].copy_from_slice(buffer_ys);
+    let mut children = vec![[Totals::EMPTY; 2]; num_features];
+    let goes_left = &scratch.goes_left;
+    let mut tasks: Vec<_> = split_chunks_mut(&mut scratch.orderings, workers)
+        .into_iter()
+        .zip(split_chunks_mut(&mut children, workers))
+        .zip(&mut scratch.spills)
+        .collect();
+    par_for_each_mut(par, &mut tasks, |_, ((orderings, children), spill)| {
+        for (ordering, child) in orderings.iter_mut().zip(children.iter_mut()) {
+            *child = ordering.partition(start, end, goes_left, right_count, spill);
+        }
+    });
+    children
 }
 
 /// The best admissible split on one feature: sort the node's samples by
@@ -1002,13 +1127,16 @@ fn best_split_for_feature(
 
 /// Best admissible split on one feature over its presorted range: the same
 /// prefix-sum scan as [`best_split_for_feature`], minus the sort (already
-/// paid once at the root), over the two sequential streams of feature
-/// values and targets in sorted order — no per-sample indirection at all.
-/// The value/target sequences are the ones the scalar scan visits, so
-/// every sum folds in the identical order.
+/// paid once at the root) and minus the two totals passes (carried in
+/// `totals` by the parent's partition), over the two sequential streams
+/// of feature values and targets in sorted order — one read of the node,
+/// no per-sample indirection. The value/target sequences are the ones the
+/// scalar scan visits and `totals` folds them in that order, so every sum
+/// matches it bit for bit.
 fn best_split_for_feature_columns(
     vals: &[f64],
     ys: &[f64],
+    totals: Totals,
     parent_sse: f64,
     config: &TreeConfig,
     feature: usize,
@@ -1016,8 +1144,7 @@ fn best_split_for_feature_columns(
     let n = vals.len();
     let mut left_sum = 0.0;
     let mut left_sq = 0.0;
-    let total_sum: f64 = ys.iter().sum();
-    let total_sq: f64 = ys.iter().map(|&y| y * y).sum();
+    let Totals { sum: total_sum, sq: total_sq } = totals;
     let mut best: Option<BestSplit> = None;
     for split_at in 1..n {
         let y = ys[split_at - 1];
@@ -1291,35 +1418,76 @@ mod tests {
         ((*state >> 33) % 1000) as f64 / 1000.0
     }
 
+    /// The fitted model to the bit: `==` on `f64` equates `-0.0` and
+    /// `0.0`, their `Debug` forms do not.
+    fn model_bits(tree: &RegressionTree) -> String {
+        format!("{:?} {:?}", tree.nodes(), tree.feature_importances())
+    }
+
     #[test]
     fn fit_columns_is_bit_identical_to_fit() {
         // Heavy ties (quantized values) exercise the stable-order argument;
         // several shapes exercise depth limits and leaf minima.
         let mut state = 0x2015_115Cu64;
+        let mut fixtures = Vec::new();
         for (rows, quantum) in [(120usize, 8.0), (257, 3.0), (600, 50.0)] {
             let xs: Vec<Vec<f64>> = (0..rows)
                 .map(|_| (0..4).map(|_| (lcg(&mut state) * quantum).floor() / quantum).collect())
                 .collect();
             let ys: Vec<f64> = (0..rows).map(|_| lcg(&mut state) * 2.0 - 1.0).collect();
-            let matrix = ColMatrix::from_rows(&xs).unwrap();
+            fixtures.push((format!("rows={rows} quantum={quantum}"), xs, ys));
+        }
+        // Signed zeros: `-0.0` and `0.0` feature values compare equal, so
+        // they must keep ascending-row order, and `±0.0` targets among
+        // `±1` make a child's running sums pass through zero.
+        let xs: Vec<Vec<f64>> = (0..400)
+            .map(|row| {
+                (0..4)
+                    .map(|feature| match (lcg(&mut state) * 5.0) as usize {
+                        0 | 1 if (row + feature) % 2 == 0 => -0.0,
+                        0 | 1 => 0.0,
+                        2 => -0.5,
+                        3 => 0.5,
+                        _ => 1.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<f64> = (0..400)
+            .map(|_| [-0.0, 0.0, 1.0, -1.0, -0.0, 0.5][(lcg(&mut state) * 6.0) as usize])
+            .collect();
+        fixtures.push(("signed zeros".to_string(), xs, ys));
+        for (name, xs, ys) in &fixtures {
+            let matrix = ColMatrix::from_rows(xs).unwrap();
             for config in [
                 TreeConfig::default(),
                 TreeConfig::default().with_min_samples_split(2).with_min_samples_leaf(1),
                 TreeConfig::default().with_max_depth(3),
             ] {
-                let classic = RegressionTree::fit(&xs, &ys, &config).unwrap();
-                let columnar = RegressionTree::fit_columns(&matrix, &ys, &config).unwrap();
-                assert_eq!(columnar, classic, "rows={rows} quantum={quantum} {config:?}");
+                let classic = RegressionTree::fit(xs, ys, &config).unwrap();
+                let columnar = RegressionTree::fit_columns(&matrix, ys, &config).unwrap();
+                assert_eq!(columnar, classic, "{name} {config:?}");
+                assert_eq!(model_bits(&columnar), model_bits(&classic), "{name} {config:?}");
             }
         }
     }
 
     #[test]
     fn fit_columns_is_identical_for_every_parallelism_mode() {
+        // 12 features × 12,000 rows puts the root and its larger child
+        // past both PAR_SPLIT_MIN_CELLS and PAR_PARTITION_MIN_CELLS, and
+        // 2, 3 and 5 threads split the 12 features into chunks of 6, 4 and
+        // 3-or-2. Thirteen levels per feature keep the ties heavy. One
+        // scratch serves every mode, so spills sized by one mode are
+        // reused by the next.
+        const ROWS: usize = 12_000;
+        const FEATURES: usize = 12;
+        const { assert!(ROWS / 2 * FEATURES >= PAR_PARTITION_MIN_CELLS) };
         let mut state = 7u64;
-        let xs: Vec<Vec<f64>> =
-            (0..500).map(|_| (0..3).map(|_| (lcg(&mut state) * 13.0).floor()).collect()).collect();
-        let ys: Vec<f64> = (0..500).map(|_| lcg(&mut state)).collect();
+        let xs: Vec<Vec<f64>> = (0..ROWS)
+            .map(|_| (0..FEATURES).map(|_| (lcg(&mut state) * 13.0).floor()).collect())
+            .collect();
+        let ys: Vec<f64> = (0..ROWS).map(|_| lcg(&mut state)).collect();
         let matrix = ColMatrix::from_rows(&xs).unwrap();
         let config = TreeConfig::default().with_min_samples_split(4).with_min_samples_leaf(2);
         let sequential = RegressionTree::fit_columns(
@@ -1328,11 +1496,24 @@ mod tests {
             &config.clone().with_parallelism(Parallelism::Sequential),
         )
         .unwrap();
-        for mode in [Parallelism::Auto, Parallelism::Threads(4)] {
-            let parallel =
-                RegressionTree::fit_columns(&matrix, &ys, &config.clone().with_parallelism(mode))
-                    .unwrap();
+        assert!(sequential.num_nodes() > 100, "fixture must grow a deep tree");
+        let mut scratch = FitScratch::default();
+        for mode in [
+            Parallelism::Auto,
+            Parallelism::Threads(5),
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Threads(4),
+        ] {
+            let parallel = RegressionTree::fit_columns_with_scratch(
+                &matrix,
+                &ys,
+                &config.clone().with_parallelism(mode),
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(parallel, sequential, "{mode:?}");
+            assert_eq!(model_bits(&parallel), model_bits(&sequential), "{mode:?}");
         }
     }
 
@@ -1348,10 +1529,33 @@ mod tests {
     fn stable_partition_keeps_relative_order() {
         let mut range = [3u32, 1, 4, 0, 2];
         let goes_left = [false, true, true, false, true];
-        let mut buffer = Vec::new();
-        stable_partition(&mut range, &goes_left, &mut buffer);
+        let mut spill = Vec::new();
+        partition_rows(&mut range, &goes_left, 2, &mut spill);
         // Left rows (1, 4, 2) keep their order, then right rows (3, 0).
         assert_eq!(range, [1, 4, 2, 3, 0]);
+        // The spill holds the right side plus one slot.
+        assert_eq!(spill.len(), 3);
+
+        // An ordering moves values and targets with its rows and carries
+        // each child's totals, folded from `-0.0` in the child's order: the
+        // left child's targets are all `-0.0`, so its Σy keeps the sign,
+        // and the right child's Σy passes through zero.
+        let mut ordering = FeatureOrdering {
+            rows: vec![3, 1, 4, 0, 2],
+            vals: vec![0.0, -0.0, 1.0, 2.0, 3.0],
+            ys: vec![1.0, -0.0, -0.0, -1.0, -0.0],
+        };
+        let totals = ordering.partition(0, 5, &goes_left, 2, &mut Spill::default());
+        assert_eq!(ordering.rows, [1, 4, 2, 3, 0]);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ordering.vals), bits(&[-0.0, 1.0, 3.0, 0.0, 2.0]));
+        assert_eq!(bits(&ordering.ys), bits(&[-0.0, -0.0, -0.0, 1.0, -1.0]));
+        for (child, range) in totals.iter().zip([0..3, 3..5]) {
+            let expected = Totals::of(&ordering.ys[range]);
+            assert_eq!(child.sum.to_bits(), expected.sum.to_bits());
+            assert_eq!(child.sq.to_bits(), expected.sq.to_bits());
+        }
+        assert!(totals[0].sum.is_sign_negative());
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use hypothesis::{
 pub use matrix::Matrix;
 pub use normalize::MinMaxScaler;
 pub use par::{
-    par_chunks_reduce, par_generate, par_join, par_map_indexed, stream_seed, Parallelism,
+    par_chunks_reduce, par_for_each_mut, par_generate, par_join, par_map_indexed, split_chunks_mut,
+    stream_seed, Parallelism,
 };
 pub use regression::{r_squared, rmse, PolynomialFit, SignatureForm, SignatureModel};

@@ -8,9 +8,9 @@
 //!
 //! Determinism is structural, not incidental:
 //!
-//! - [`par_map_indexed`] assigns output slot `i` to input `i`; workers
-//!   own disjoint contiguous ranges, so the assembled output never
-//!   depends on scheduling.
+//! - [`par_map_indexed`] assigns output slot `i` to input `i`, and
+//!   [`par_for_each_mut`] updates item `i` in place; workers own disjoint
+//!   contiguous ranges, so the outcome never depends on scheduling.
 //! - [`par_chunks_reduce`] folds **fixed-size chunks** (the chunk size is
 //!   a caller-supplied constant, never derived from the thread count) and
 //!   combines the per-chunk partials left-to-right in chunk order. A
@@ -137,6 +137,61 @@ where
         }
     });
     out
+}
+
+/// Splits `items` into `parts` contiguous chunks whose lengths differ by
+/// at most one (one empty chunk for empty input, fewer chunks when
+/// `items` is shorter than `parts`): the ranges [`par_for_each_mut`]
+/// hands its workers. Lets a caller pair each worker's chunk with state
+/// of its own, such as a scratch buffer or a slice of an output, before
+/// fanning the pairs out.
+pub fn split_chunks_mut<T>(mut items: &mut [T], parts: usize) -> Vec<&mut [T]> {
+    let ranges = contiguous_ranges(items.len(), parts);
+    let mut chunks = Vec::with_capacity(ranges.len());
+    for (start, end) in ranges {
+        let (head, tail) = std::mem::take(&mut items).split_at_mut(end - start);
+        chunks.push(head);
+        items = tail;
+    }
+    chunks
+}
+
+/// Runs `f(i, &mut items[i])` for every item, in place.
+///
+/// With more than one thread, workers own disjoint contiguous ranges
+/// (those of [`split_chunks_mut`]) and the calling thread takes the
+/// first, so every item is visited exactly once whatever the thread
+/// count.
+pub fn par_for_each_mut<T, F>(par: Parallelism, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let threads = par.effective_threads().min(items.len());
+    if threads <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let f = &f;
+    let mut chunks = split_chunks_mut(items, threads).into_iter();
+    let first = chunks.next().expect("at least one chunk");
+    std::thread::scope(|scope| {
+        let mut start = first.len();
+        for chunk in chunks {
+            let base = start;
+            start += chunk.len();
+            scope.spawn(move || {
+                for (offset, item) in chunk.iter_mut().enumerate() {
+                    f(base + offset, item);
+                }
+            });
+        }
+        for (i, item) in first.iter_mut().enumerate() {
+            f(i, item);
+        }
+    });
 }
 
 /// Generates `out[i] = f(i)` for `i in 0..len` — [`par_map_indexed`]
@@ -288,6 +343,32 @@ mod tests {
             let got = par_map_indexed(mode, &items, |i, &x| x * 2 + i as u64);
             assert_eq!(got, expected, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_in_every_mode() {
+        let expected: Vec<u64> = (0..997).map(|i| i * 3 + 1).collect();
+        for mode in MODES {
+            let mut items: Vec<u64> = (0..997).collect();
+            par_for_each_mut(mode, &mut items, |i, x| *x = *x * 2 + i as u64 + 1);
+            assert_eq!(items, expected, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn split_chunks_mut_matches_the_worker_ranges() {
+        for (len, parts) in [(12, 5), (12, 2), (3, 10), (0, 4), (7, 1)] {
+            let mut items: Vec<usize> = (0..len).collect();
+            let lens: Vec<usize> =
+                split_chunks_mut(&mut items, parts).iter().map(|c| c.len()).collect();
+            let expected: Vec<usize> =
+                contiguous_ranges(len, parts).iter().map(|(s, e)| e - s).collect();
+            assert_eq!(lens, expected, "len={len} parts={parts}");
+        }
+        let mut items: Vec<usize> = (0..12).collect();
+        let chunks = split_chunks_mut(&mut items, 5);
+        assert_eq!(chunks.iter().map(|c| c.len()).collect::<Vec<_>>(), [3, 3, 2, 2, 2]);
+        assert_eq!(chunks[2], [6, 7]);
     }
 
     #[test]
