@@ -26,8 +26,7 @@ use crate::{analysis_config, fleet_config, ChaosOptions, CliError, ObsOptions};
 use dds_core::{Analysis, OnlineTrainer, TrainedModel, TrainingContext};
 use dds_monitor::{
     AlertHistory, DriftBaseline, DriftDetector, IngestQueue, ModelBundle, ModelSlot, MonitorConfig,
-    MonitorService, PromotionGate, PromotionOutcome, ShadowScorer, ShardStatus,
-    ShardedFleetMonitor,
+    MonitorService, PromotionGate, PromotionOutcome, ShardedFleetMonitor,
 };
 use dds_obs::http::HttpServer;
 use dds_obs::journal::{FlightRecorder, DEFAULT_JOURNAL_CAPACITY};
@@ -137,8 +136,8 @@ pub fn register_build_info(registry: &Registry) {
     registry.gauge("dds_uptime_seconds").set(0.0);
 }
 
-/// A refit artifact soaking behind the shadow scorer, waiting for
-/// `POST /model/promote`.
+/// A refit artifact soaking in the shards beside the serving model,
+/// waiting for `POST /model/promote`.
 #[derive(Debug)]
 struct RefitCandidate {
     bundle: ModelBundle,
@@ -259,12 +258,12 @@ pub fn serve(
         .with_flight_recorder(Arc::clone(&recorder));
     // The online-learning loop: the drift detector watches every raw
     // record against the serving model's training metadata (always on);
-    // the trainer and shadow scorer only run under `--refit-every N`.
+    // the trainer and the shards' candidate only run under
+    // `--refit-every N`.
     let mut drift = DriftDetector::new(DriftBaseline::from_bundle(&serving_bundle, 0.0));
     let mut trainer = (options.refit_every > 0)
         .then(|| OnlineTrainer::new(analysis_config(None, options.threads)));
     let mut candidate: Option<RefitCandidate> = None;
-    let mut shadow: Option<ShadowScorer> = None;
     let mut promotions = 0u64;
     health.set_ready(true);
 
@@ -280,13 +279,11 @@ pub fn serve(
 
     'serve: while !stop.load(Ordering::SeqCst) {
         // Each epoch restarts the fleet's hour counters, so the quality
-        // gate's per-drive ordering history (serving, shadow and drift
-        // sides alike) must restart with it.
+        // gate's per-drive ordering history (the serving gate, which the
+        // soaking candidate shares, and the drift side) must restart with
+        // it.
         monitor.new_ingest_session();
         drift.new_session();
-        if let Some(shadow) = shadow.as_mut() {
-            shadow.new_ingest_session();
-        }
         // The trainer needs the clean epoch manifest (labels, racks) for
         // its refit window; without a trainer, skip materializing it.
         let records = match trainer.as_mut() {
@@ -312,30 +309,21 @@ pub fn serve(
             let hour = records[start].1.hour;
             let end = start + records[start..].iter().take_while(|(_, r)| r.hour == hour).count();
             let batch = &records[start..end];
-            let alerts = monitor.ingest_batch_from(batch, "stream");
+            monitor.ingest_batch_from(batch, "stream");
             drift.observe_batch(batch);
-            if let Some(shadow) = shadow.as_mut() {
-                shadow.score_batch(batch, &alerts);
-            }
             // External batches POSTed to /ingest ride along after the
             // simulated hour; shedding already happened at offer time.
             let external = ingest_queue.drain();
             if !external.is_empty() {
-                let external_alerts = monitor.ingest_batch_from(&external, "external");
+                monitor.ingest_batch_from(&external, "external");
                 drift.observe_batch(&external);
-                if let Some(shadow) = shadow.as_mut() {
-                    shadow.score_batch(&external, &external_alerts);
-                }
             }
             drift.publish(registry);
-            if let Some(shadow) = shadow.as_mut() {
-                shadow.publish(registry);
-            }
             if let Ok(mut slot) = drift_slot.lock() {
                 *slot = format!(
                     "{{\"drift\": {}, \"shadow\": {}, \"candidate\": {}, \"promotions\": {}}}",
                     drift.to_json(),
-                    shadow.as_ref().map_or("null".to_string(), ShadowScorer::to_json),
+                    monitor.shadow_tally().map_or("null".to_string(), |t| t.to_json()),
                     candidate.as_ref().map_or("null", |c| c.provenance.as_str()),
                     promotions,
                 );
@@ -347,13 +335,13 @@ pub fn serve(
                 let outcome = match candidate.take() {
                     Some(cand) => {
                         monitor.swap_bundle(cand.bundle.clone());
+                        monitor.set_candidate(None);
                         serving_bundle = cand.bundle;
                         serving_provenance = cand.provenance;
                         drift.swap_baseline(DriftBaseline::from_bundle(
                             &serving_bundle,
                             cand.expected_disorder,
                         ));
-                        shadow = None;
                         if let Some(path) = &options.model {
                             if let Err(e) = cand.model.save(path) {
                                 refit_errors.inc();
@@ -400,8 +388,7 @@ pub fn serve(
             // pass — then the shard thresholds, which only degrade),
             // publish the per-shard view, pace the stream.
             store.sample(registry);
-            let statuses = monitor.shard_statuses();
-            for status in &statuses {
+            for status in &monitor.shard_statuses() {
                 shard_series.sample(
                     status.shard,
                     ShardSample {
@@ -416,12 +403,7 @@ pub fn serve(
             watchdog.evaluate(&store);
             watchdog.evaluate_shards(&shard_series, &shard_slo);
             if let Ok(mut slot) = shards_slot.lock() {
-                let per_shard: Vec<String> = statuses.iter().map(ShardStatus::to_json).collect();
-                *slot = format!(
-                    "{{\"shards\": {}, \"per_shard\": [{}]}}",
-                    monitor.shards(),
-                    per_shard.join(", ")
-                );
+                *slot = monitor.statuses_json();
             }
             start = end;
             if start < records.len() {
@@ -454,8 +436,7 @@ pub fn serve(
                                 "online refit (epoch {})",
                                 stream.epochs_generated()
                             ));
-                            shadow =
-                                Some(ShadowScorer::new(bundle.clone(), MonitorConfig::default()));
+                            monitor.set_candidate(Some(bundle.clone()));
                             candidate = Some(RefitCandidate {
                                 bundle,
                                 expected_disorder: outcome.expected_disorder(),

@@ -4,7 +4,7 @@
 //! The paper clusters the 433 failure records for k = 1..10 and picks the
 //! elbow of the mean distance from records to their centroids (Fig. 3).
 //! [`KMeansResult::mean_within_cluster_distance`] is that statistic, and
-//! [`elbow_curve`] reproduces the sweep.
+//! [`elbow_curve_with`] reproduces the sweep.
 
 use dds_stats::par::{par_chunks_reduce, par_generate, stream_seed, Parallelism};
 use dds_stats::{euclidean, squared_euclidean, ColMatrix, StatsError};
@@ -659,20 +659,12 @@ impl StreamingKMeans {
 
 /// Runs K-means for every `k` in `1..=k_max` and returns
 /// `(k, mean within-cluster distance)` pairs — the paper's Fig. 3 sweep.
+/// Each `k` runs its restarts under `par`; the sweep values are identical
+/// in every mode.
 ///
 /// # Errors
 ///
 /// Propagates [`KMeans::fit`] errors (e.g. fewer points than `k_max`).
-pub fn elbow_curve(
-    points: &[Vec<f64>],
-    k_max: usize,
-    seed: u64,
-) -> Result<Vec<(usize, f64)>, StatsError> {
-    elbow_curve_with(points, k_max, seed, Parallelism::Auto)
-}
-
-/// [`elbow_curve`] with an explicit [`Parallelism`] mode. The sweep values
-/// are identical in every mode; each `k` runs its restarts under `par`.
 pub fn elbow_curve_with(
     points: &[Vec<f64>],
     k_max: usize,
@@ -778,7 +770,7 @@ mod tests {
     #[test]
     fn elbow_curve_is_monotone_decreasing() {
         let (points, _) = three_blobs();
-        let curve = elbow_curve(&points, 6, 1).unwrap();
+        let curve = elbow_curve_with(&points, 6, 1, Parallelism::Auto).unwrap();
         assert_eq!(curve.len(), 6);
         for w in curve.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-6, "curve must not rise: {curve:?}");
@@ -788,7 +780,7 @@ mod tests {
     #[test]
     fn elbow_at_three_for_three_blobs() {
         let (points, _) = three_blobs();
-        let curve = elbow_curve(&points, 8, 1).unwrap();
+        let curve = elbow_curve_with(&points, 8, 1, Parallelism::Auto).unwrap();
         assert_eq!(pick_elbow(&curve, 0.05), 3, "curve: {curve:?}");
     }
 

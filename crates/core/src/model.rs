@@ -241,10 +241,9 @@ pub struct TrainedModel {
 }
 
 impl TrainedModel {
-    /// Assembles the artifact from a completed training run.
-    ///
-    /// The population means and `TC` deviation are accumulated in the
-    /// exact iteration order `ModelBundle::from_analysis` uses, so a
+    /// Assembles the artifact from a completed training run. The
+    /// population means and `TC` deviation come from
+    /// [`good_population_stats`], as the monitor bundle's do, so a
     /// warm-started monitor is bit-identical to a cold-started one.
     pub fn from_report(dataset: &Dataset, report: &AnalysisReport, ctx: &TrainingContext) -> Self {
         let assignments = report.categorization.assignments();
@@ -295,30 +294,7 @@ impl TrainedModel {
             })
             .collect();
 
-        let mut population_means = [0.0; NUM_ATTRIBUTES];
-        let mut count = 0u64;
-        for drive in dataset.good_drives() {
-            for record in drive.records() {
-                count += 1;
-                for (mean, v) in population_means.iter_mut().zip(&record.values) {
-                    *mean += v;
-                }
-            }
-        }
-        if count > 0 {
-            for mean in &mut population_means {
-                *mean /= count as f64;
-            }
-        }
-        let tc_idx = Attribute::TemperatureCelsius.index();
-        let mut tc_var = 0.0;
-        for drive in dataset.good_drives() {
-            for record in drive.records() {
-                let d = record.values[tc_idx] - population_means[tc_idx];
-                tc_var += d * d;
-            }
-        }
-        let tc_std = if count > 0 { (tc_var / count as f64).sqrt() } else { 0.0 };
+        let (population_means, tc_std) = good_population_stats(dataset);
 
         let discrimination = DiscriminationTable::from_sweeps(&report.z_scores);
         let z_baselines = discrimination
@@ -662,6 +638,40 @@ impl TrainedModel {
         model.scaler()?;
         Ok(model)
     }
+}
+
+/// The good population's mean raw value of each attribute and the
+/// standard deviation of its `TC` health values, over every record of
+/// every good drive in fleet order: the monitor's baseline-correction
+/// target and thermal-risk yardstick. The model artifact and the
+/// monitor's bundle both take them from here, so the two agree bit for
+/// bit.
+pub fn good_population_stats(dataset: &Dataset) -> ([f64; NUM_ATTRIBUTES], f64) {
+    let mut population_means = [0.0; NUM_ATTRIBUTES];
+    let mut count = 0u64;
+    for drive in dataset.good_drives() {
+        for record in drive.records() {
+            count += 1;
+            for (mean, v) in population_means.iter_mut().zip(&record.values) {
+                *mean += v;
+            }
+        }
+    }
+    if count > 0 {
+        for mean in &mut population_means {
+            *mean /= count as f64;
+        }
+    }
+    let tc_idx = Attribute::TemperatureCelsius.index();
+    let mut tc_var = 0.0;
+    for drive in dataset.good_drives() {
+        for record in drive.records() {
+            let d = record.values[tc_idx] - population_means[tc_idx];
+            tc_var += d * d;
+        }
+    }
+    let tc_std = if count > 0 { (tc_var / count as f64).sqrt() } else { 0.0 };
+    (population_means, tc_std)
 }
 
 fn write_group(out: &mut String, g: &GroupArtifact) -> Result<(), ModelError> {

@@ -19,13 +19,11 @@
 //!    window — the online analogue of the warm-vs-cold model proof. The
 //!    property is pinned by `tests/online_learning.rs` across seeds and
 //!    shard interleavings.
-//! 2. **Streaming accumulators.** Scaler bounds (running per-attribute
-//!    min/max — order-independent, hence exact) and per-attribute value
-//!    sums are folded in record by record; K-means centroids, per-group
+//! 2. **Recompute at refit time.** Observing only buffers each record
+//!    under its drive; scaler bounds, K-means centroids, per-group
 //!    signatures and z-score baselines are recomputed over the window at
 //!    refit time, where the cache-blocked columnar kernels already run in
-//!    well under an epoch. The streamed bounds double as a cheap drift
-//!    probe between refits.
+//!    well under an epoch.
 //!
 //! Corrupted windows (out-of-order hours, duplicates, missing values —
 //! anything a chaos stream produces) are routed through
@@ -38,9 +36,7 @@ use crate::model::{TrainedModel, TrainingContext};
 use crate::pipeline::{Analysis, AnalysisConfig, AnalysisReport};
 use crate::quality::{sanitize_profiles, QualityStats};
 use dds_smartsim::topology::RackId;
-use dds_smartsim::{
-    Dataset, DriveId, DriveLabel, DriveProfile, HealthRecord, RawProfile, NUM_ATTRIBUTES,
-};
+use dds_smartsim::{Dataset, DriveId, DriveLabel, DriveProfile, HealthRecord, RawProfile};
 use std::collections::BTreeMap;
 
 /// What the trainer knows about one drive of the current window, captured
@@ -135,21 +131,9 @@ pub struct OnlineTrainer {
     order: Vec<DriveId>,
     facts: BTreeMap<DriveId, DriveFacts>,
     records: BTreeMap<DriveId, Vec<HealthRecord>>,
-    /// Streaming per-attribute minima over the window (order-independent,
-    /// exact).
-    mins: [f64; NUM_ATTRIBUTES],
-    /// Streaming per-attribute maxima over the window.
-    maxs: [f64; NUM_ATTRIBUTES],
-    /// Streaming per-attribute value sums over the window.
-    sums: [f64; NUM_ATTRIBUTES],
     observed: u64,
     /// Records offered for drives outside the epoch manifest this window.
     ignored: u64,
-    /// Records evicted by the sliding-window cap this window.
-    evicted: u64,
-    /// Per-drive sample cap; `None` accumulates the whole epoch (the
-    /// bit-identity-preserving default).
-    max_records_per_drive: Option<usize>,
     epochs_begun: u64,
     refits: u64,
 }
@@ -165,36 +149,18 @@ impl OnlineTrainer {
             order: Vec::new(),
             facts: BTreeMap::new(),
             records: BTreeMap::new(),
-            mins: [f64::INFINITY; NUM_ATTRIBUTES],
-            maxs: [f64::NEG_INFINITY; NUM_ATTRIBUTES],
-            sums: [0.0; NUM_ATTRIBUTES],
             observed: 0,
             ignored: 0,
-            evicted: 0,
-            max_records_per_drive: None,
             epochs_begun: 0,
             refits: 0,
         }
     }
 
-    /// Caps the window at `cap` most-recent records per drive; older
-    /// samples are evicted as new ones arrive, bounding trainer memory at
-    /// `O(drives × cap)` regardless of epoch length. Uncapped trainers
-    /// accumulate whole epochs and stay bit-identical to cold training;
-    /// capped ones trade that for bounded memory (the refit then runs on
-    /// the trailing window, which the tolerance suite pins instead).
-    #[must_use]
-    pub fn with_window_cap(mut self, cap: usize) -> Self {
-        self.max_records_per_drive = Some(cap.max(1));
-        self
-    }
-
     /// Starts a new refit window from an epoch manifest: captures the
     /// epoch's drive order, labels and rack topology, and discards the
-    /// previous window's records and accumulators. The manifest comes
-    /// from the *clean* epoch dataset — labels and racks are fleet
-    /// metadata, not wire payload, so a corrupted stream cannot forge
-    /// them.
+    /// previous window's records. The manifest comes from the *clean*
+    /// epoch dataset — labels and racks are fleet metadata, not wire
+    /// payload, so a corrupted stream cannot forge them.
     pub fn begin_epoch(&mut self, manifest: &Dataset) {
         self.order.clear();
         self.facts.clear();
@@ -203,12 +169,8 @@ impl OnlineTrainer {
             self.order.push(drive.id());
             self.facts.insert(drive.id(), DriveFacts { label: drive.label(), rack: drive.rack() });
         }
-        self.mins = [f64::INFINITY; NUM_ATTRIBUTES];
-        self.maxs = [f64::NEG_INFINITY; NUM_ATTRIBUTES];
-        self.sums = [0.0; NUM_ATTRIBUTES];
         self.observed = 0;
         self.ignored = 0;
-        self.evicted = 0;
         self.epochs_begun += 1;
     }
 
@@ -224,24 +186,8 @@ impl OnlineTrainer {
             dds_obs::metrics::global().counter("dds_refit_ignored_total").inc();
             return;
         }
-        let recs = self.records.entry(drive).or_default();
-        recs.push(record.clone());
-        if let Some(cap) = self.max_records_per_drive {
-            if recs.len() > cap {
-                let excess = recs.len() - cap;
-                recs.drain(..excess);
-                self.evicted += excess as u64;
-                dds_obs::metrics::global().counter("dds_refit_evicted_total").add(excess as u64);
-            }
-        }
+        self.records.entry(drive).or_default().push(record.clone());
         self.observed += 1;
-        for (i, &v) in record.values.iter().enumerate() {
-            if v.is_finite() {
-                self.mins[i] = self.mins[i].min(v);
-                self.maxs[i] = self.maxs[i].max(v);
-                self.sums[i] += v;
-            }
-        }
     }
 
     /// Observes a whole `(drive, record)` batch — the shape the sharded
@@ -257,23 +203,6 @@ impl OnlineTrainer {
         self.observed
     }
 
-    /// Records offered this window for drives outside the epoch manifest.
-    pub fn window_ignored(&self) -> u64 {
-        self.ignored
-    }
-
-    /// Records evicted this window by the sliding-window cap.
-    pub fn window_evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Records currently held in the window buffers — with a cap this is
-    /// bounded by `manifest drives × cap` no matter how long the epoch
-    /// runs.
-    pub fn retained_records(&self) -> usize {
-        self.records.values().map(Vec::len).sum()
-    }
-
     /// Number of epochs started with [`begin_epoch`](Self::begin_epoch).
     pub fn epochs_begun(&self) -> u64 {
         self.epochs_begun
@@ -282,27 +211,6 @@ impl OnlineTrainer {
     /// Number of completed refits.
     pub fn refits(&self) -> u64 {
         self.refits
-    }
-
-    /// The streaming per-attribute `(min, max)` bounds over the window —
-    /// exactly the Eq. (1) scaler bounds a cold fit on the window would
-    /// produce, maintained incrementally (min/max folds are
-    /// order-independent, so these are bitwise exact at any shard count).
-    pub fn streamed_bounds(&self) -> ([f64; NUM_ATTRIBUTES], [f64; NUM_ATTRIBUTES]) {
-        (self.mins, self.maxs)
-    }
-
-    /// The streaming per-attribute mean over the window (diagnostic:
-    /// summation order follows arrival order, so this is exact in value
-    /// but not guaranteed bit-identical to a column-ordered fold).
-    pub fn streamed_means(&self) -> [f64; NUM_ATTRIBUTES] {
-        let mut means = self.sums;
-        if self.observed > 0 {
-            for m in &mut means {
-                *m /= self.observed as f64;
-            }
-        }
-        means
     }
 
     /// Whether the accumulated window can be reassembled without the
@@ -450,29 +358,6 @@ mod tests {
 
     fn ctx(seed: u64) -> TrainingContext {
         TrainingContext { seed, scale: "test".to_string(), git_sha: String::new() }
-    }
-
-    #[test]
-    fn streamed_bounds_match_a_cold_scaler_fit_exactly() {
-        let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(31)).run();
-        let mut trainer = OnlineTrainer::new(config());
-        trainer.begin_epoch(&dataset);
-        trainer.observe_batch(&hour_ordered(&dataset));
-        let (mins, maxs) = trainer.streamed_bounds();
-        for c in 0..NUM_ATTRIBUTES {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for drive in dataset.drives() {
-                for record in drive.records() {
-                    lo = lo.min(record.values[c]);
-                    hi = hi.max(record.values[c]);
-                }
-            }
-            assert_eq!(mins[c].to_bits(), lo.to_bits(), "min of column {c}");
-            assert_eq!(maxs[c].to_bits(), hi.to_bits(), "max of column {c}");
-        }
-        let means = trainer.streamed_means();
-        assert!(means.iter().all(|m| m.is_finite()));
     }
 
     #[test]

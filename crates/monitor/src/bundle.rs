@@ -64,30 +64,7 @@ impl ModelBundle {
                 rmse: g.rmse,
             })
             .collect();
-        let mut population_means = [0.0; NUM_ATTRIBUTES];
-        let mut count = 0u64;
-        for drive in dataset.good_drives() {
-            for record in drive.records() {
-                count += 1;
-                for (mean, v) in population_means.iter_mut().zip(&record.values) {
-                    *mean += v;
-                }
-            }
-        }
-        if count > 0 {
-            for mean in &mut population_means {
-                *mean /= count as f64;
-            }
-        }
-        let tc_idx = Attribute::TemperatureCelsius.index();
-        let mut tc_var = 0.0;
-        for drive in dataset.good_drives() {
-            for record in drive.records() {
-                let d = record.values[tc_idx] - population_means[tc_idx];
-                tc_var += d * d;
-            }
-        }
-        let tc_std = if count > 0 { (tc_var / count as f64).sqrt() } else { 0.0 };
+        let (population_means, tc_std) = dds_core::model::good_population_stats(dataset);
         ModelBundle { scaler: dataset.scaler().clone(), groups, population_means, tc_std }
     }
 

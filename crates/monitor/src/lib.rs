@@ -66,5 +66,5 @@ pub use drift::{DriftBaseline, DriftDetector, HOUR_ROLLOVER_GAP, RANGE_MARGIN, R
 pub use history::{AlertHistory, DEFAULT_HISTORY_CAPACITY};
 pub use monitor::{FleetMonitor, HealthStatus, MonitorConfig};
 pub use service::{ModelSlot, MonitorService, PromotionGate, PromotionOutcome};
-pub use shadow::ShadowScorer;
+pub use shadow::ShadowTally;
 pub use shard::{shard_for, IngestQueue, ShardStatus, ShardedFleetMonitor};

@@ -1,4 +1,13 @@
 //! The streaming fleet monitor.
+//!
+//! [`FleetMonitor`] runs each record through two stages: the quality
+//! gate ([`FleetMonitor::sanitize`]) and scoring
+//! ([`FleetMonitor::ingest_sanitized`]). Shard workers run the gate once
+//! per record and feed the admitted records to the serving monitor and,
+//! while a refit candidate soaks, to the candidate's monitor. The
+//! monitor keeps its latched-drive counts in step with every latch, so
+//! [`FleetMonitor::health_status`] costs O(1) however many drives it
+//! tracks.
 
 use crate::alert::{Alert, AlertKind, Severity};
 use crate::bundle::{ModelBundle, BASELINE_ATTRIBUTES};
@@ -101,7 +110,7 @@ struct DriveState {
 /// The monitor writes no process-global metrics: serving publishes them
 /// from the shard coordinator
 /// ([`ShardedFleetMonitor`](crate::ShardedFleetMonitor)), so a shadow
-/// scorer or a test monitor never counts into the serving totals.
+/// candidate or a test monitor never counts into the serving totals.
 #[derive(Debug, Clone)]
 pub struct FleetMonitor {
     bundle: ModelBundle,
@@ -109,6 +118,12 @@ pub struct FleetMonitor {
     drives: HashMap<DriveId, DriveState>,
     sanitizer: FleetSanitizer,
     alerts_emitted: u64,
+    /// Drives latched at (watch, warning, critical), kept in step with
+    /// every `DriveState::latched` change. Drives are never removed, so
+    /// the counts stay exact and [`health_status`] needs no drive scan.
+    ///
+    /// [`health_status`]: FleetMonitor::health_status
+    latched: [usize; 3],
 }
 
 /// A point-in-time summary of the monitor's serving state, derived from
@@ -145,7 +160,14 @@ impl FleetMonitor {
     /// Creates a monitor from a deployable bundle.
     pub fn new(bundle: ModelBundle, config: MonitorConfig) -> Self {
         let sanitizer = FleetSanitizer::new(config.quality);
-        FleetMonitor { bundle, config, drives: HashMap::new(), sanitizer, alerts_emitted: 0 }
+        FleetMonitor {
+            bundle,
+            config,
+            drives: HashMap::new(),
+            sanitizer,
+            alerts_emitted: 0,
+            latched: [0; 3],
+        }
     }
 
     /// Number of drives with monitoring state.
@@ -158,17 +180,11 @@ impl FleetMonitor {
         self.drives.get(&drive).and_then(|s| s.latched)
     }
 
-    /// The current serving-state summary.
+    /// The current serving-state summary, in constant time.
     pub fn health_status(&self) -> HealthStatus {
-        let mut latched = [0usize; 3];
-        for state in self.drives.values() {
-            if let Some(severity) = state.latched {
-                latched[severity as usize] += 1;
-            }
-        }
         HealthStatus {
             drives_tracked: self.drives.len(),
-            latched,
+            latched: self.latched,
             alerts_emitted: self.alerts_emitted,
         }
     }
@@ -245,7 +261,9 @@ impl FleetMonitor {
     /// The scoring stage of [`FleetMonitor::try_ingest`]: ingests a
     /// record that already passed [`FleetMonitor::sanitize`]. Feeding a
     /// record that skipped the gate corrupts the quality accounting the
-    /// watchdog budgets are built on — always pair the two stages.
+    /// watchdog budgets are built on — always pair the two stages. The
+    /// gate may be another monitor's: a shard's refit candidate scores
+    /// the records the serving monitor's gate admitted.
     pub fn ingest_sanitized(&mut self, drive: DriveId, record: &HealthRecord) -> Vec<Alert> {
         let _span = dds_obs::span!(dds_obs::Level::Trace, "monitor.ingest", hour = record.hour);
         let alerts = self.ingest_inner(drive, record);
@@ -363,6 +381,10 @@ impl FleetMonitor {
                     .time_before_failure(degradation.min(0.0))
                     .filter(|_| degradation <= 0.0);
                 if debounced && escalates {
+                    if let Some(previous) = state.latched {
+                        self.latched[previous as usize] -= 1;
+                    }
+                    self.latched[severity as usize] += 1;
                     state.latched = Some(severity);
                     if !state.announced_types.contains(&model.failure_type) {
                         state.announced_types.push(model.failure_type);
@@ -646,6 +668,27 @@ mod tests {
         monitor.replay(drive.id(), drive.records());
         assert_eq!(monitor.drives_tracked(), 1);
         assert!(monitor.latched_severity(drive.id()).is_some());
+
+        // The O(1) latched counts agree with a scan over every drive,
+        // also after replays that escalate a latched drive again.
+        let mut escalated = 0usize;
+        for drive in live.drives() {
+            let alerts = monitor.replay(drive.id(), drive.records());
+            let predictions =
+                alerts.iter().filter(|a| a.kind == AlertKind::DegradationPrediction).count();
+            if predictions > 1 {
+                escalated += 1;
+            }
+        }
+        assert!(escalated > 0, "some drive must escalate past its first latch");
+        let mut scanned = [0usize; 3];
+        for drive in live.drives() {
+            if let Some(severity) = monitor.latched_severity(drive.id()) {
+                scanned[severity as usize] += 1;
+            }
+        }
+        assert_eq!(monitor.health_status().latched, scanned);
+        assert!(scanned.iter().sum::<usize>() > 0);
     }
 
     #[test]

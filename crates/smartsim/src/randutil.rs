@@ -1,9 +1,9 @@
-//! Small sampling helpers on top of [`rand`]: normal, log-normal, Poisson
-//! and exponential variates.
+//! Small sampling helpers on top of [`rand`]: normal and Poisson
+//! variates and Bernoulli trials.
 //!
-//! Implemented in-crate (Box–Muller, Knuth, inverse transform) so the
-//! workspace does not need `rand_distr`; the simulator only needs these four
-//! distributions and modest statistical quality.
+//! Implemented in-crate (Box–Muller, Knuth) so the workspace does not
+//! need `rand_distr`; the simulator only needs these distributions and
+//! modest statistical quality.
 
 use rand::{Rng, RngExt};
 
@@ -21,24 +21,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     let u2: f64 = rng.random::<f64>();
     let mag = (-2.0 * u1.ln()).sqrt();
     mean + sd * mag * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Samples a log-normal variate parameterized by the mean and standard
-/// deviation of the *underlying normal* distribution.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    normal(rng, mu, sigma).exp()
-}
-
-/// Samples an exponential variate with the given rate `lambda` (mean
-/// `1/lambda`) via inverse transform.
-///
-/// # Panics
-///
-/// Panics if `lambda` is not strictly positive.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
-    assert!(lambda > 0.0, "exponential rate must be positive, got {lambda}");
-    let u: f64 = 1.0 - rng.random::<f64>();
-    -u.ln() / lambda
 }
 
 /// Samples a Poisson count with the given mean.
@@ -100,20 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let n = 20_000;
-        let mean = (0..n).map(|_| exponential(&mut r, 0.5)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "exponential rate must be positive")]
-    fn exponential_rejects_zero_rate() {
-        exponential(&mut rng(), 0.0);
-    }
-
-    #[test]
     fn poisson_small_mean() {
         let mut r = rng();
         let n = 20_000;
@@ -134,14 +102,6 @@ mod tests {
         let mut r = rng();
         assert_eq!(poisson(&mut r, 0.0), 0);
         assert_eq!(poisson(&mut r, -1.0), 0);
-    }
-
-    #[test]
-    fn log_normal_is_positive() {
-        let mut r = rng();
-        for _ in 0..1_000 {
-            assert!(log_normal(&mut r, 0.0, 1.0) > 0.0);
-        }
     }
 
     #[test]

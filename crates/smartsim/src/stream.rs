@@ -33,55 +33,6 @@ pub fn hour_ordered(dataset: &Dataset) -> Vec<(DriveId, HealthRecord)> {
     records
 }
 
-/// Tiles an [`hour_ordered`] stream `copies`-fold by cloning every record
-/// onto `copies` disjoint drive-id ranges — the way the ingest benchmark
-/// synthesizes a million-drive stream without simulating a million drives.
-///
-/// Copy `c` of drive `d` becomes drive `d + c × stride`, where `stride`
-/// is one past the stream's highest drive id, so copies never collide and
-/// the output stays in `(hour, drive_id)` order (each hour run repeats
-/// once per copy, at strictly increasing id ranges). The record payloads
-/// are bit-identical across copies, which keeps the tiled stream as
-/// deterministic as its source.
-///
-/// # Example
-///
-/// ```
-/// use dds_smartsim::stream::{hour_ordered, tile_records};
-/// use dds_smartsim::{FleetConfig, FleetSimulator};
-///
-/// let fleet = FleetSimulator::new(FleetConfig::test_scale().with_seed(7)).run();
-/// let base = hour_ordered(&fleet);
-/// let tiled = tile_records(&base, 3);
-/// assert_eq!(tiled.len(), base.len() * 3);
-/// // Still hour-ordered: hours never decrease, ids ascend within an hour.
-/// assert!(tiled.windows(2).all(|w| (w[0].1.hour, w[0].0 .0) <= (w[1].1.hour, w[1].0 .0)));
-/// ```
-pub fn tile_records(
-    records: &[(DriveId, HealthRecord)],
-    copies: u32,
-) -> Vec<(DriveId, HealthRecord)> {
-    if copies <= 1 || records.is_empty() {
-        return records.to_vec();
-    }
-    let stride = records.iter().map(|(drive, _)| drive.0).max().expect("non-empty") + 1;
-    let mut tiled = Vec::with_capacity(records.len() * copies as usize);
-    let mut run_start = 0;
-    while run_start < records.len() {
-        let hour = records[run_start].1.hour;
-        let run_end =
-            run_start + records[run_start..].iter().take_while(|(_, r)| r.hour == hour).count();
-        for copy in 0..copies {
-            let offset = copy * stride;
-            for (drive, record) in &records[run_start..run_end] {
-                tiled.push((DriveId(drive.0 + offset), record.clone()));
-            }
-        }
-        run_start = run_end;
-    }
-    tiled
-}
-
 /// An endless sequence of simulated fleet epochs for long-lived serving.
 ///
 /// Epoch `k` runs the configured fleet with seed `base_seed + k`, so the
@@ -190,34 +141,6 @@ mod tests {
             let key1 = (pair[1].1.hour, pair[1].0 .0);
             assert!(key0 <= key1, "records must sort by (hour, drive)");
         }
-    }
-
-    #[test]
-    fn tile_records_multiplies_drives_without_breaking_order() {
-        let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(13)).run();
-        let base = hour_ordered(&dataset);
-        let stride = base.iter().map(|(d, _)| d.0).max().unwrap() + 1;
-        let tiled = tile_records(&base, 4);
-        assert_eq!(tiled.len(), base.len() * 4);
-        // Each copy occupies its own id range; mapped back onto the base
-        // range, every copy is the base stream bit for bit.
-        for copy in 0..4u32 {
-            let mapped: Vec<(DriveId, HealthRecord)> = tiled
-                .iter()
-                .filter(|(d, _)| d.0 / stride == copy)
-                .map(|(d, r)| (DriveId(d.0 - copy * stride), r.clone()))
-                .collect();
-            assert_eq!(mapped, base, "copy {copy} must replicate the base stream");
-        }
-        for pair in tiled.windows(2) {
-            assert!(
-                (pair[0].1.hour, pair[0].0 .0) <= (pair[1].1.hour, pair[1].0 .0),
-                "tiled stream must stay (hour, drive)-ordered"
-            );
-        }
-        // Degenerate copies pass through untouched.
-        assert_eq!(tile_records(&base, 1), base);
-        assert_eq!(tile_records(&[], 8), Vec::new());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Covariance and correlation: Pearson, Spearman, and full matrices.
+//! Covariance and correlation: Pearson, Spearman, and covariance matrices.
 //!
 //! §IV-D correlates the disk read/write attributes with the degradation value
 //! inside the degradation window, in 24-hour windows, and over the whole
@@ -141,29 +141,6 @@ pub fn covariance_matrix(rows: &[Vec<f64>]) -> Result<Matrix, StatsError> {
     Ok(cov)
 }
 
-/// Pearson correlation matrix of row-observations; constant columns get zero
-/// correlation with everything (and 1.0 with themselves).
-///
-/// # Errors
-///
-/// Propagates [`covariance_matrix`] errors.
-pub fn correlation_matrix(rows: &[Vec<f64>]) -> Result<Matrix, StatsError> {
-    let cov = covariance_matrix(rows)?;
-    let n = cov.rows();
-    let mut out = Matrix::zeros(n, n)?;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                out[(i, j)] = 1.0;
-                continue;
-            }
-            let denom = (cov[(i, i)] * cov[(j, j)]).sqrt();
-            out[(i, j)] = if denom > 0.0 { (cov[(i, j)] / denom).clamp(-1.0, 1.0) } else { 0.0 };
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,24 +205,6 @@ mod tests {
         for i in 0..3 {
             assert!(cov[(i, i)] >= 0.0);
         }
-    }
-
-    #[test]
-    fn correlation_matrix_diagonal_ones() {
-        let rows = vec![vec![1.0, 5.0], vec![2.0, 4.0], vec![3.0, 9.0]];
-        let corr = correlation_matrix(&rows).unwrap();
-        assert_eq!(corr[(0, 0)], 1.0);
-        assert_eq!(corr[(1, 1)], 1.0);
-        assert!((corr[(0, 1)] - corr[(1, 0)]).abs() < 1e-12);
-        assert!(corr[(0, 1)].abs() <= 1.0);
-    }
-
-    #[test]
-    fn correlation_matrix_constant_column() {
-        let rows = vec![vec![1.0, 7.0], vec![2.0, 7.0], vec![3.0, 7.0]];
-        let corr = correlation_matrix(&rows).unwrap();
-        assert_eq!(corr[(0, 1)], 0.0);
-        assert_eq!(corr[(1, 1)], 1.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Descriptive statistics: moments, quantiles, deciles, rolling statistics
-//! and change rates.
+//! Descriptive statistics: moments, quantiles, deciles, trailing standard
+//! deviations and change rates.
 //!
 //! The paper summarizes attribute distributions with deciles ("we divide the
 //! sorted data set into ten equal-sized subsets and display the first nine
@@ -222,28 +222,6 @@ pub fn trailing_std(values: &[f64], window: usize) -> Result<f64, StatsError> {
     std_dev(&values[start..])
 }
 
-/// Rolling standard deviation over a sliding window; the first `window − 1`
-/// entries use the partial prefix.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::InvalidParameter`] on
-/// empty input or zero window.
-pub fn rolling_std(values: &[f64], window: usize) -> Result<Vec<f64>, StatsError> {
-    if window == 0 {
-        return Err(StatsError::InvalidParameter("window must be positive".to_string()));
-    }
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    let mut out = Vec::with_capacity(values.len());
-    for i in 0..values.len() {
-        let start = (i + 1).saturating_sub(window);
-        out.push(std_dev(&values[start..=i])?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,14 +317,5 @@ mod tests {
     #[test]
     fn trailing_std_handles_short_series() {
         assert_eq!(trailing_std(&[2.0, 2.0], 24).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn rolling_std_length_matches_input() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        let r = rolling_std(&v, 2).unwrap();
-        assert_eq!(r.len(), 4);
-        assert_eq!(r[0], 0.0); // single-element prefix
-        assert!((r[1] - 0.5).abs() < 1e-12);
     }
 }

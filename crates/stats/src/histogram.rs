@@ -1,9 +1,7 @@
 //! Fixed-width histograms (Fig. 1 of the paper).
 //!
 //! Fig. 1 plots the number of failed drives per health-profile duration in
-//! 48-hour bins. [`Histogram`] provides the binning plus the cumulative
-//! queries the paper reports ("78.5% of the failed drives have profiles
-//! longer than 10 days").
+//! 48-hour bins; [`Histogram`] provides that binning.
 
 use crate::error::StatsError;
 
@@ -106,28 +104,6 @@ impl Histogram {
     pub fn out_of_range(&self) -> u64 {
         self.out_of_range
     }
-
-    /// Fraction of *in-range* observations that are ≥ `threshold`.
-    /// Observations are attributed at bin granularity (a bin counts if its
-    /// lower edge is ≥ the threshold, plus a pro-rata share of the bin that
-    /// straddles it).
-    pub fn fraction_at_least(&self, threshold: f64) -> f64 {
-        let in_range = self.total - self.out_of_range;
-        if in_range == 0 {
-            return 0.0;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut count = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let (lo, hi) = (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width);
-            if lo >= threshold {
-                count += c as f64;
-            } else if hi > threshold {
-                count += c as f64 * (hi - threshold) / width;
-            }
-        }
-        count / in_range as f64
-    }
 }
 
 #[cfg(test)]
@@ -165,22 +141,6 @@ mod tests {
         }
         assert_eq!(h.bin_edges(0), (0.0, 2.0));
         assert_eq!(h.bin_edges(4), (8.0, 10.0));
-    }
-
-    #[test]
-    fn fraction_at_least_full_and_empty() {
-        let values: Vec<f64> = (0..100).map(f64::from).collect();
-        let h = Histogram::from_values(0.0, 100.0, 10, &values).unwrap();
-        assert!((h.fraction_at_least(0.0) - 1.0).abs() < 1e-12);
-        assert!(h.fraction_at_least(100.0) < 0.01);
-        // Half the mass lies at or above 50.
-        assert!((h.fraction_at_least(50.0) - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn fraction_at_least_empty_histogram_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 4).unwrap();
-        assert_eq!(h.fraction_at_least(0.5), 0.0);
     }
 
     #[test]

@@ -241,48 +241,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Determinant via LU decomposition with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] for non-square input.
-    pub fn determinant(&self) -> Result<f64, StatsError> {
-        if self.rows != self.cols {
-            return Err(StatsError::DimensionMismatch { expected: self.rows, actual: self.cols });
-        }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut det = 1.0;
-        for col in 0..n {
-            let mut pivot = col;
-            let mut max = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > max {
-                    max = v;
-                    pivot = r;
-                }
-            }
-            if max < 1e-300 {
-                return Ok(0.0);
-            }
-            if pivot != col {
-                for c in 0..n {
-                    a.swap(col * n + c, pivot * n + c);
-                }
-                det = -det;
-            }
-            det *= a[col * n + col];
-            for r in (col + 1)..n {
-                let factor = a[r * n + col] / a[col * n + col];
-                for c in col..n {
-                    a[r * n + c] -= factor * a[col * n + c];
-                }
-            }
-        }
-        Ok(det)
-    }
-
     /// Checks symmetry within an absolute tolerance.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -498,14 +456,6 @@ mod tests {
                 assert!(approx(prod[(r, c)], want, 1e-10));
             }
         }
-    }
-
-    #[test]
-    fn determinant_of_known_matrix() {
-        let a = Matrix::from_rows(&[vec![3.0, 8.0], vec![4.0, 6.0]]).unwrap();
-        assert!(approx(a.determinant().unwrap(), -14.0, 1e-10));
-        let singular = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert!(approx(singular.determinant().unwrap(), 0.0, 1e-12));
     }
 
     #[test]

@@ -159,43 +159,6 @@ fn incremental_refit_under_chaos_converges_to_cold_training_within_tolerance() {
 }
 
 #[test]
-fn window_cap_bounds_trainer_memory_across_epochs() {
-    // With a per-drive cap, trainer memory stays O(drives × cap) no
-    // matter how many epochs stream through, eviction is visible in the
-    // window accounting, and the capped (trailing-window) refit still
-    // produces a deployable artifact.
-    const CAP: usize = 48;
-    let seed = 7u64;
-    let mut stream = StreamingFleet::new(FleetConfig::test_scale().with_seed(seed));
-    let mut trainer = OnlineTrainer::new(config()).with_window_cap(CAP);
-
-    for epoch in 0..3 {
-        let window = stream.next_epoch();
-        let bound = window.drives().len() * CAP;
-        trainer.begin_epoch(&window);
-        trainer.observe_batch(&hour_ordered(&window));
-        assert!(
-            trainer.retained_records() <= bound,
-            "epoch {epoch}: {} retained records exceed the {bound} cap bound",
-            trainer.retained_records()
-        );
-        assert!(
-            trainer.window_evicted() > 0,
-            "epoch {epoch}: retention windows are longer than the cap, eviction must fire"
-        );
-        assert_eq!(
-            trainer.window_records(),
-            hour_ordered(&window).len() as u64,
-            "eviction drops retained samples, not observation counts"
-        );
-        let outcome = trainer.refit(&ctx(seed)).expect("capped refit succeeds");
-        assert!(!outcome.model.groups.is_empty(), "capped refit still yields signatures");
-    }
-    assert_eq!(trainer.epochs_begun(), 3);
-    assert_eq!(trainer.refits(), 3);
-}
-
-#[test]
 fn refit_window_slides_with_epochs() {
     // Two consecutive epochs refit to two *different* models (the window
     // really slides), and replaying epoch 2 alone matches a cold train on
