@@ -519,11 +519,12 @@ fn refit_candidate_soaks_in_shadow_and_promotes_atomically() {
         assert!(drift.contains("\"drift\": {"), "{drift}");
 
         // After the first epoch the online trainer refits: the candidate's
-        // provenance appears on /drift and the shadow scorer starts.
+        // provenance appears on /drift and the shards start shadow-scoring
+        // the candidate.
         let (_, drift) = poll_until(addr, "/drift", Duration::from_secs(120), |s, b| {
             s == 200 && b.contains("online refit (epoch")
         });
-        assert!(drift.contains("\"shadow\": {"), "shadow scorer soaking: {drift}");
+        assert!(drift.contains("\"shadow\": {"), "candidate soaking in the shards: {drift}");
 
         let (status, model) = http_get(addr, "/model");
         assert_eq!(status, 200);
