@@ -1,14 +1,19 @@
-//! The chaos engine: applies a [`ChaosSpec`] to record streams and
-//! datasets with per-drive seeded generators.
+//! The chaos engine: applies a [`ChaosSpec`] to `(drive, record)`
+//! streams with per-drive seeded generators.
+//!
+//! [`ChaosEngine::corrupt_stream`] is the only corruption path: every
+//! command flattens its fleet into a stream first — drive by drive for
+//! the batch commands, [`hour_ordered`](dds_smartsim::stream::hour_ordered)
+//! for `dds serve`'s epochs — and hands it here.
 //!
 //! # Determinism
 //!
 //! Every drive gets its own generator seeded as
 //! `stream_seed(stream_seed(seed, salt), drive_id)`, so corruption of one
 //! drive is a pure function of `(spec, seed, salt, that drive's records)`
-//! — independent of how many other drives exist or in which order they
-//! are visited. The `salt` separates corruption *contexts* (training
-//! dataset vs. live stream vs. serve epoch index) so the same drive id is
+//! — independent of how many other drives exist or how the stream
+//! interleaves them. The `salt` separates corruption *contexts* (training
+//! fleet vs. live fleet vs. serve epoch index) so the same drive id is
 //! corrupted differently in each.
 //!
 //! # Conservation
@@ -18,8 +23,7 @@
 //! operator's rate never changes *which* records another operator hits.
 
 use crate::spec::{ChaosSpec, FaultKind};
-use dds_smartsim::dataset::RawProfile;
-use dds_smartsim::{Dataset, DriveId, HealthRecord};
+use dds_smartsim::{DriveId, HealthRecord};
 use dds_stats::par::stream_seed;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,13 +55,6 @@ impl FaultCounts {
     /// Total faults injected across all operators.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Adds another tally into this one.
-    pub fn merge(&mut self, other: &FaultCounts) {
-        for (slot, add) in self.counts.iter_mut().zip(other.counts) {
-            *slot += add;
-        }
     }
 
     fn record(&mut self, kind: FaultKind) {
@@ -97,8 +94,10 @@ struct DriveChaos {
 }
 
 /// Applies a [`ChaosSpec`] deterministically. Cheap to construct and
-/// stateless between calls — every `corrupt_*` invocation re-derives all
-/// per-drive generators from `(seed, salt, drive_id)`.
+/// stateless between calls — every [`corrupt_stream`] invocation
+/// re-derives all per-drive generators from `(seed, salt, drive_id)`.
+///
+/// [`corrupt_stream`]: ChaosEngine::corrupt_stream
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosEngine {
     spec: ChaosSpec,
@@ -109,16 +108,6 @@ impl ChaosEngine {
     /// Creates an engine from a spec and master seed.
     pub fn new(spec: ChaosSpec, seed: u64) -> Self {
         ChaosEngine { spec, seed }
-    }
-
-    /// The spec this engine applies.
-    pub fn spec(&self) -> &ChaosSpec {
-        &self.spec
-    }
-
-    /// The master chaos seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     fn drive_state(&self, salt: u64, drive: DriveId) -> DriveChaos {
@@ -133,7 +122,7 @@ impl ChaosEngine {
     }
 
     /// Runs one record through every operator except reorder (which needs
-    /// the drive's emission history and is handled by the callers).
+    /// the drive's emission history and is handled by the caller).
     /// Appends 0, 1 or 2 records to `out`.
     fn corrupt_one(
         &self,
@@ -186,11 +175,14 @@ impl ChaosEngine {
         st.emitted >= 2 && st.rng.random_bool(self.spec.rate(FaultKind::Reorder))
     }
 
-    /// Corrupts a time-interleaved `(drive, record)` stream — the
-    /// [`hour_ordered`](dds_smartsim::stream::hour_ordered) shape `dds
-    /// serve` ingests. Reorder swaps the *payloads* of a drive's two most
-    /// recent stream slots, so disorder is per drive (the property ingest
-    /// gates actually check) regardless of interleaving.
+    /// Corrupts a `(drive, record)` stream in any interleaving. Each
+    /// drive's output is a function of its own records only, so a
+    /// drive-major and an hour-major flattening of one fleet yield the
+    /// same per-drive sequences and the same [`FaultCounts`]. Drive tags
+    /// keep their relative order: dropped records leave no slot and a
+    /// duplicate lands right after its original. Reorder swaps the
+    /// *payloads* of a drive's two most recent stream slots, so disorder
+    /// is per drive (the property ingest gates actually check).
     pub fn corrupt_stream(
         &self,
         salt: u64,
@@ -221,56 +213,6 @@ impl ChaosEngine {
         (out, counts)
     }
 
-    /// Corrupts every profile of a dataset into [`RawProfile`]s — the
-    /// batch shape the pipeline's quality gate ingests. Drive order and
-    /// count are preserved; a fully truncated/dropped drive comes back
-    /// with an empty record list.
-    pub fn corrupt_dataset(&self, salt: u64, dataset: &Dataset) -> (Vec<RawProfile>, FaultCounts) {
-        let mut counts = FaultCounts::default();
-        let mut profiles = Vec::with_capacity(dataset.drives().len());
-        for drive in dataset.drives() {
-            let mut st = self.drive_state(salt, drive.id());
-            let mut records: Vec<HealthRecord> = Vec::with_capacity(drive.records().len());
-            let mut emitted: Vec<HealthRecord> = Vec::new();
-            for record in drive.records() {
-                emitted.clear();
-                self.corrupt_one(&mut st, record, &mut counts, &mut emitted);
-                for rec in emitted.drain(..) {
-                    records.push(rec);
-                    if self.reorder_fires(&mut st) {
-                        let n = records.len();
-                        records.swap(n - 1, n - 2);
-                        counts.record(FaultKind::Reorder);
-                    }
-                }
-            }
-            profiles.push(RawProfile {
-                id: drive.id(),
-                label: drive.label(),
-                rack: drive.rack(),
-                records,
-            });
-        }
-        (profiles, counts)
-    }
-
-    /// Wraps this engine as a [`StreamingFleet`] record stage. Epochs
-    /// with index `< chaos_epochs` are corrupted (salted by their epoch
-    /// index); later epochs pass through clean. `chaos_epochs == 0`
-    /// corrupts every epoch.
-    ///
-    /// [`StreamingFleet`]: dds_smartsim::StreamingFleet
-    pub fn into_record_stage(self, chaos_epochs: u64) -> dds_smartsim::stream::RecordStage {
-        Box::new(move |epoch, records| {
-            if chaos_epochs != 0 && epoch >= chaos_epochs {
-                return records;
-            }
-            let (corrupted, counts) = self.corrupt_stream(epoch, &records);
-            self.publish(&counts);
-            corrupted
-        })
-    }
-
     /// Exports the tally to the global metrics registry
     /// (`dds_chaos_faults_injected_total` plus one per-operator counter).
     /// A zero tally publishes nothing.
@@ -292,7 +234,8 @@ impl ChaosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_smartsim::{FleetConfig, FleetSimulator};
+    use dds_smartsim::stream::{drive_major, hour_ordered};
+    use dds_smartsim::{Dataset, FleetConfig, FleetSimulator};
 
     fn small_fleet(seed: u64) -> Dataset {
         FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run()
@@ -307,44 +250,48 @@ mod tests {
         a.hour == b.hour && a.values.iter().zip(&b.values).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// Regroups a corrupted stream into one record list per fleet drive,
+    /// in fleet order; a drive chaos removed entirely gets an empty list.
+    fn per_drive(dataset: &Dataset, stream: &[(DriveId, HealthRecord)]) -> Vec<Vec<HealthRecord>> {
+        let mut by_drive: HashMap<DriveId, Vec<HealthRecord>> = HashMap::new();
+        for (drive, record) in stream {
+            by_drive.entry(*drive).or_default().push(record.clone());
+        }
+        dataset.drives().iter().map(|d| by_drive.remove(&d.id()).unwrap_or_default()).collect()
+    }
+
     #[test]
-    fn identity_spec_is_a_no_op_on_streams_and_datasets() {
+    fn identity_spec_is_a_no_op_on_every_interleaving() {
         let dataset = small_fleet(3);
         let engine = ChaosEngine::new(ChaosSpec::none(), 99);
-        let stream = dds_smartsim::stream::hour_ordered(&dataset);
-        let (out, counts) = engine.corrupt_stream(0, &stream);
-        assert_eq!(counts.total(), 0);
-        assert_eq!(out, stream);
-        let (profiles, counts) = engine.corrupt_dataset(0, &dataset);
-        assert_eq!(counts.total(), 0);
-        for (raw, drive) in profiles.iter().zip(dataset.drives()) {
-            assert_eq!(raw.records, drive.records());
+        for stream in [hour_ordered(&dataset), drive_major(&dataset)] {
+            let (out, counts) = engine.corrupt_stream(0, &stream);
+            assert_eq!(counts.total(), 0);
+            assert_eq!(out, stream);
         }
     }
 
     #[test]
     fn corruption_is_deterministic_per_seed_and_differs_across_seeds() {
         let dataset = small_fleet(4);
+        let stream = drive_major(&dataset);
         let spec = spec("drop=0.1,nullattr=0.05,dup=0.1,reorder=0.05,skew=0.05,truncate=0.3");
-        let (a, ca) = ChaosEngine::new(spec.clone(), 7).corrupt_dataset(0, &dataset);
-        let (b, cb) = ChaosEngine::new(spec.clone(), 7).corrupt_dataset(0, &dataset);
+        let (a, ca) = ChaosEngine::new(spec.clone(), 7).corrupt_stream(0, &stream);
+        let (b, cb) = ChaosEngine::new(spec.clone(), 7).corrupt_stream(0, &stream);
         assert_eq!(ca, cb);
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.records.len(), y.records.len());
-            assert!(x.records.iter().zip(&y.records).all(|(r, s)| same_record(r, s)));
-        }
-        let (_, c_other) = ChaosEngine::new(spec, 8).corrupt_dataset(0, &dataset);
+        assert!(a.iter().zip(&b).all(|(x, y)| x.0 == y.0 && same_record(&x.1, &y.1)));
+        let (_, c_other) = ChaosEngine::new(spec, 8).corrupt_stream(0, &stream);
         assert_ne!(ca, c_other, "different seeds must corrupt differently");
     }
 
     #[test]
     fn salt_separates_corruption_contexts() {
         let dataset = small_fleet(4);
-        let spec = spec("drop=0.2");
-        let engine = ChaosEngine::new(spec, 7);
-        let (_, train) = engine.corrupt_dataset(0, &dataset);
-        let (_, live) = engine.corrupt_dataset(1, &dataset);
+        let stream = drive_major(&dataset);
+        let engine = ChaosEngine::new(spec("drop=0.2"), 7);
+        let (_, train) = engine.corrupt_stream(0, &stream);
+        let (_, live) = engine.corrupt_stream(1, &stream);
         assert_ne!(train, live, "salts 0 and 1 must draw different streams");
     }
 
@@ -352,14 +299,14 @@ mod tests {
     fn truncate_removes_a_bounded_history_head() {
         let dataset = small_fleet(5);
         let engine = ChaosEngine::new(spec("truncate=1"), 11);
-        let (profiles, counts) = engine.corrupt_dataset(0, &dataset);
+        let (out, counts) = engine.corrupt_stream(0, &drive_major(&dataset));
         assert!(counts.get(FaultKind::Truncate) > 0);
-        for (raw, drive) in profiles.iter().zip(dataset.drives()) {
-            let removed = drive.records().len().saturating_sub(raw.records.len());
+        for (records, drive) in per_drive(&dataset, &out).iter().zip(dataset.drives()) {
+            let removed = drive.records().len().saturating_sub(records.len());
             assert!(removed >= 1, "rate 1 truncates every drive");
             assert!(removed <= MAX_TRUNCATE_RECORDS as usize);
             // The surviving tail is exactly the original tail.
-            assert_eq!(raw.records.as_slice(), &drive.records()[removed..]);
+            assert_eq!(records.as_slice(), &drive.records()[removed..]);
         }
     }
 
@@ -367,7 +314,7 @@ mod tests {
     fn duplicate_and_drop_change_counts_by_exactly_the_tally() {
         let dataset = small_fleet(6);
         let engine = ChaosEngine::new(spec("drop=0.1,dup=0.1"), 13);
-        let stream = dds_smartsim::stream::hour_ordered(&dataset);
+        let stream = hour_ordered(&dataset);
         let (out, counts) = engine.corrupt_stream(0, &stream);
         let expected = stream.len() + counts.get(FaultKind::Duplicate) as usize
             - counts.get(FaultKind::Drop) as usize;
@@ -378,7 +325,7 @@ mod tests {
     fn reorder_swaps_stay_within_a_drive() {
         let dataset = small_fleet(8);
         let engine = ChaosEngine::new(spec("reorder=0.3"), 17);
-        let stream = dds_smartsim::stream::hour_ordered(&dataset);
+        let stream = hour_ordered(&dataset);
         let (out, counts) = engine.corrupt_stream(0, &stream);
         assert!(counts.get(FaultKind::Reorder) > 0);
         assert_eq!(out.len(), stream.len());
@@ -406,20 +353,5 @@ mod tests {
             by_drive.values().any(|h| h.windows(2).any(|w| w[0] > w[1]))
         };
         assert!(disordered, "reorder must produce per-drive disorder");
-    }
-
-    #[test]
-    fn record_stage_respects_the_epoch_budget() {
-        let config = FleetConfig::test_scale().with_seed(9);
-        let engine = ChaosEngine::new(spec("drop=0.5"), 19);
-        let mut stream = dds_smartsim::StreamingFleet::new(config.clone())
-            .with_record_stage(engine.into_record_stage(1));
-        let corrupted = stream.next_epoch_records();
-        let clean = stream.next_epoch_records();
-        let mut reference = dds_smartsim::StreamingFleet::new(config);
-        let ref0 = reference.next_epoch_records();
-        let ref1 = reference.next_epoch_records();
-        assert!(corrupted.len() < ref0.len(), "epoch 0 must be corrupted");
-        assert_eq!(clean, ref1, "epoch 1 is past the chaos budget and must be clean");
     }
 }

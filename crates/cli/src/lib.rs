@@ -43,7 +43,9 @@ use dds_obs::profile::StageProfiler;
 use dds_obs::subscribers::{JsonLinesSubscriber, StderrSubscriber, TeeSubscriber};
 use dds_obs::trace::{self, Level, Subscriber};
 use dds_obs::watchdog::HealthState;
+use dds_smartsim::dataset::RawProfile;
 use dds_smartsim::io::{read_csv, write_csv};
+use dds_smartsim::stream::drive_major;
 use dds_smartsim::{Dataset, DriveId, FleetConfig, FleetSimulator, HealthRecord};
 use dds_stats::par::Parallelism;
 use serve::{load_model, register_build_info, ServeOptions};
@@ -127,9 +129,21 @@ impl ChaosOptions {
         !self.spec.is_identity()
     }
 
-    /// Builds the engine, or `None` for the identity spec.
-    fn engine(&self) -> Option<ChaosEngine> {
-        self.active().then(|| ChaosEngine::new(self.spec.clone(), self.seed))
+    /// Corrupts `records` under `salt` and publishes the injected faults
+    /// when the spec is active; otherwise hands them back untouched with
+    /// an empty tally.
+    fn corrupt(
+        &self,
+        salt: u64,
+        records: Vec<(DriveId, HealthRecord)>,
+    ) -> (Vec<(DriveId, HealthRecord)>, FaultCounts) {
+        if !self.active() {
+            return (records, FaultCounts::default());
+        }
+        let engine = ChaosEngine::new(self.spec.clone(), self.seed);
+        let (corrupted, faults) = engine.corrupt_stream(salt, &records);
+        engine.publish(&faults);
+        (corrupted, faults)
     }
 
     /// Consumes one chaos flag if `arg` is one, reading its value from
@@ -768,30 +782,24 @@ fn analysis_config(k: Option<usize>, threads: usize) -> AnalysisConfig {
     }
 }
 
-/// The live fleet as one ingest batch, drive by drive with each drive's
-/// records in order — corrupted first (and the faults published) when
-/// `chaos` is active.
-fn live_batch(
-    fleet: &Dataset,
-    chaos: &ChaosOptions,
-) -> (Vec<(DriveId, HealthRecord)>, Option<FaultCounts>) {
-    match chaos.engine() {
-        Some(engine) => {
-            let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, fleet);
-            engine.publish(&faults);
-            let batch =
-                raw.iter().flat_map(|p| p.records.iter().map(|r| (p.id, r.clone()))).collect();
-            (batch, Some(faults))
-        }
-        None => {
-            let batch = fleet
-                .drives()
-                .iter()
-                .flat_map(|d| d.records().iter().map(|r| (d.id(), r.clone())))
-                .collect();
-            (batch, None)
-        }
-    }
+/// Regroups a corrupted [`drive_major`] stream of `fleet` into one
+/// [`RawProfile`] per fleet drive, in fleet order. Chaos keeps each
+/// drive's records contiguous, and a drive it removed entirely keeps an
+/// empty profile, so the quality gate still counts it as dropped.
+fn raw_profiles(fleet: &Dataset, records: Vec<(DriveId, HealthRecord)>) -> Vec<RawProfile> {
+    let mut records = records.into_iter().peekable();
+    fleet
+        .drives()
+        .iter()
+        .map(|drive| RawProfile {
+            id: drive.id(),
+            label: drive.label(),
+            rack: drive.rack(),
+            records: std::iter::from_fn(|| records.next_if(|(id, _)| *id == drive.id()))
+                .map(|(_, record)| record)
+                .collect(),
+        })
+        .collect()
 }
 
 /// The alert report `dds monitor` and `dds predict` share: a count line,
@@ -921,12 +929,12 @@ fn run_inner(
             health.set_ready(true);
             let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), shards)
                 .with_history(Arc::clone(&history));
-            let (batch, live_faults) = live_batch(&live_fleet, &chaos);
+            let (batch, live_faults) = chaos.corrupt(LIVE_SALT, drive_major(&live_fleet));
             let alerts = monitor.ingest_batch(&batch);
             let mut out = render_alerts(&alerts, &live_fleet, limit);
-            if let Some(faults) = live_faults {
+            if chaos.active() {
                 out.push_str(&format!(
-                    "chaos {} (seed {}): {faults} faults injected into the live stream\n\
+                    "chaos {} (seed {}): {live_faults} faults injected into the live stream\n\
                      live quality: {}\n",
                     chaos.spec,
                     chaos.seed,
@@ -940,25 +948,19 @@ fn run_inner(
         }
         Command::Pipeline { scale, seed, threads, listen, chaos, obs: _ } => {
             let par = Parallelism::from_thread_count(threads);
-            let engine = chaos.engine();
             let simulated =
                 FleetSimulator::new(fleet_config(&scale).with_seed(seed).with_parallelism(par))
                     .run();
             // Under chaos the training telemetry is corrupted, then passed
             // through the quality gate before analysis — the whole point is
             // exercising the degraded path end to end.
-            let mut train_faults = None;
-            let mut train_quality = None;
-            let training = match &engine {
-                Some(engine) => {
-                    let (raw, faults) = engine.corrupt_dataset(TRAIN_SALT, &simulated);
-                    engine.publish(&faults);
-                    train_faults = Some(faults);
-                    let (clean, stats) = sanitize_profiles(&raw, QualityPolicy::default())?;
-                    train_quality = Some(stats);
-                    clean
-                }
-                None => simulated,
+            let (training, train_chaos) = if chaos.active() {
+                let (records, faults) = chaos.corrupt(TRAIN_SALT, drive_major(&simulated));
+                let raw = raw_profiles(&simulated, records);
+                let (clean, stats) = sanitize_profiles(&raw, QualityPolicy::default())?;
+                (clean, Some((faults, stats)))
+            } else {
+                (simulated, None)
             };
             let analysis = Analysis::new(analysis_config(None, threads)).run(&training)?;
             let bundle = ModelBundle::from_analysis(&training, &analysis);
@@ -977,7 +979,7 @@ fn run_inner(
             let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), 1)
                 .with_history(Arc::clone(&history));
             health.set_ready(true);
-            let (batch, live_faults) = live_batch(&live_fleet, &chaos);
+            let (batch, live_faults) = chaos.corrupt(LIVE_SALT, drive_major(&live_fleet));
             let alerts = monitor.ingest_batch(&batch);
             let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
             if let Some(server) = server {
@@ -991,15 +993,15 @@ fn run_inner(
                 live_fleet.drives().len(),
                 alerts.len(),
             );
-            if let (Some(train_faults), Some(live_faults)) = (train_faults, live_faults) {
+            if let Some((train_faults, train_quality)) = train_chaos {
                 out.push_str(&format!(
-                    "chaos {} (seed {}): {train_faults} train faults, {live_faults} live faults\n",
-                    chaos.spec, chaos.seed,
+                    "chaos {} (seed {}): {train_faults} train faults, {live_faults} live faults\n\
+                     training quality: {train_quality}\n\
+                     live quality: {}\n",
+                    chaos.spec,
+                    chaos.seed,
+                    monitor.quality_stats(),
                 ));
-                if let Some(stats) = &train_quality {
-                    out.push_str(&format!("training quality: {stats}\n"));
-                }
-                out.push_str(&format!("live quality: {}\n", monitor.quality_stats()));
             }
             Ok(out)
         }
@@ -1052,8 +1054,7 @@ fn run_inner(
                 .map_err(|e| CliError(format!("model {}: {e}", model.display())))?;
             let live_fleet = load(&live)?;
             let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), 1);
-            let (batch, _) = live_batch(&live_fleet, &ChaosOptions::default());
-            let alerts = monitor.ingest_batch(&batch);
+            let alerts = monitor.ingest_batch(&drive_major(&live_fleet));
             // One header line, then a body byte-identical to `dds monitor`
             // trained on the same fleet (the warm-start guarantee).
             let mut out = format!(

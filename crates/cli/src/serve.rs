@@ -34,7 +34,8 @@ use dds_obs::metrics::Registry;
 use dds_obs::profile::StageProfiler;
 use dds_obs::timeseries::{ShardSample, ShardSeriesStore, TimeSeriesStore};
 use dds_obs::watchdog::{ShardSlo, Watchdog};
-use dds_smartsim::{FleetSimulator, StreamingFleet};
+use dds_smartsim::stream::hour_ordered;
+use dds_smartsim::{Dataset, DriveId, FleetSimulator, HealthRecord, StreamingFleet};
 use dds_stats::par::Parallelism;
 use std::error::Error;
 use std::net::SocketAddr;
@@ -146,6 +147,24 @@ struct RefitCandidate {
     /// detector's expected-disorder baseline on promotion.
     expected_disorder: f64,
     provenance: String,
+}
+
+/// Simulates the next epoch: its clean manifest (labels and racks, which
+/// a refit window needs) and its [`hour_ordered`] records, corrupted with
+/// the epoch index as salt while that index is below `chaos_epochs` (0
+/// corrupts every epoch).
+fn next_epoch(
+    stream: &mut StreamingFleet,
+    chaos: &ChaosOptions,
+    chaos_epochs: u64,
+) -> (Dataset, Vec<(DriveId, HealthRecord)>) {
+    let index = stream.epochs_generated();
+    let manifest = stream.next_epoch();
+    let mut records = hour_ordered(&manifest);
+    if chaos_epochs == 0 || index < chaos_epochs {
+        records = chaos.corrupt(index, records).0;
+    }
+    (manifest, records)
 }
 
 /// Sleeps `tick` in small slices so a stop request interrupts the pause
@@ -272,9 +291,6 @@ pub fn serve(
     let mut stream = StreamingFleet::new(
         fleet_config(&options.scale).with_seed(options.seed.wrapping_add(1)).with_parallelism(par),
     );
-    if let Some(engine) = options.chaos.engine() {
-        stream = stream.with_record_stage(engine.into_record_stage(options.chaos_epochs));
-    }
     let tick = Duration::from_millis(options.tick_ms);
 
     'serve: while !stop.load(Ordering::SeqCst) {
@@ -284,21 +300,17 @@ pub fn serve(
         // it.
         monitor.new_ingest_session();
         drift.new_session();
-        // The trainer needs the clean epoch manifest (labels, racks) for
-        // its refit window; without a trainer, skip materializing it.
-        let records = match trainer.as_mut() {
-            Some(trainer) => {
-                let (manifest, records) = stream.next_epoch_with_records();
-                trainer.begin_epoch(&manifest);
-                // The trainer observes only the simulated stream: external
-                // /ingest traffic may reuse manifest drive ids, and letting
-                // it into the window would make the refit depend on scrape
-                // timing instead of the seed.
-                trainer.observe_batch(&records);
-                records
-            }
-            None => stream.next_epoch_records(),
-        };
+        let (manifest, records) = next_epoch(&mut stream, &options.chaos, options.chaos_epochs);
+        if let Some(trainer) = trainer.as_mut() {
+            trainer.begin_epoch(&manifest);
+            // The trainer observes only the simulated stream: external
+            // /ingest traffic may reuse manifest drive ids, and letting
+            // it into the window would make the refit depend on scrape
+            // timing instead of the seed.
+            trainer.observe_batch(&records);
+        }
+        // Only the trainer reads the manifest; free it before streaming.
+        drop(manifest);
         let mut start = 0;
         while start < records.len() {
             if stop.load(Ordering::SeqCst) {
@@ -523,4 +535,36 @@ pub fn serve(
     }
     out.push_str(&format!("status: {}\n", status.to_json()));
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dds_chaos::ChaosEngine;
+    use dds_smartsim::FleetConfig;
+
+    #[test]
+    fn epochs_below_the_chaos_budget_are_corrupted_and_later_ones_are_clean() {
+        let config = FleetConfig::test_scale().with_seed(9);
+        let chaos = ChaosOptions { spec: "drop=0.5".parse().expect("spec"), seed: 19 };
+        let engine = ChaosEngine::new(chaos.spec.clone(), chaos.seed);
+        let mut reference = StreamingFleet::new(config.clone());
+        let clean: Vec<_> = (0..2).map(|_| hour_ordered(&reference.next_epoch())).collect();
+
+        // A budget of one epoch: epoch 0 is corrupted under salt 0, epoch
+        // 1 streams byte-identical to the clean epoch.
+        let mut stream = StreamingFleet::new(config.clone());
+        let (manifest, corrupted) = next_epoch(&mut stream, &chaos, 1);
+        assert_eq!(hour_ordered(&manifest), clean[0], "the manifest stays clean");
+        assert!(corrupted.len() < clean[0].len(), "epoch 0 must be corrupted");
+        assert_eq!(corrupted, engine.corrupt_stream(0, &clean[0]).0);
+        let (_, past_budget) = next_epoch(&mut stream, &chaos, 1);
+        assert_eq!(past_budget, clean[1], "epoch 1 is past the chaos budget and must be clean");
+
+        // A budget of 0 corrupts every epoch, each salted by its index.
+        let mut stream = StreamingFleet::new(config);
+        next_epoch(&mut stream, &chaos, 0);
+        let (_, second) = next_epoch(&mut stream, &chaos, 0);
+        assert_eq!(second, engine.corrupt_stream(1, &clean[1]).0);
+    }
 }

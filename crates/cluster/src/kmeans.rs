@@ -31,7 +31,7 @@ const ASSIGN_BLOCK: usize = 256;
 /// ```
 /// use dds_cluster::KMeansConfig;
 ///
-/// let config = KMeansConfig::new(3).with_seed(7).with_restarts(5);
+/// let config = KMeansConfig::new(3).with_seed(7);
 /// assert_eq!(config.k, 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -78,20 +78,6 @@ impl KMeansConfig {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the number of restarts.
-    #[must_use]
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Sets the iteration cap.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations.max(1);
         self
     }
 }

@@ -14,7 +14,6 @@
 use crate::categorize::Categorization;
 use crate::columnar::FleetColumns;
 use crate::error::AnalysisError;
-use crate::features::FailureRecordSet;
 use dds_smartsim::{Dataset, DriveId, DriveProfile, NUM_ATTRIBUTES};
 use dds_stats::timeseries::moving_average;
 use dds_stats::{euclidean, PolynomialFit, SignatureForm, SignatureModel};
@@ -350,63 +349,12 @@ impl DegradationAnalyzer {
     pub fn analyze_groups(
         &self,
         dataset: &Dataset,
-        records: &FailureRecordSet,
         categorization: &Categorization,
     ) -> Result<Vec<GroupDegradation>, AnalysisError> {
-        let mut result = Vec::with_capacity(categorization.num_groups());
-        for group in categorization.groups() {
-            let mut windows = Vec::with_capacity(group.size());
-            let mut votes: Vec<(SignatureForm, usize)> =
-                SignatureForm::ALL.iter().map(|&f| (f, 0)).collect();
-            let mut rmse_sums: Vec<(SignatureForm, f64)> =
-                SignatureForm::ALL.iter().map(|&f| (f, 0.0)).collect();
-            let mut centroid: Option<DriveDegradation> = None;
-            let mut analyzed = 0usize;
-            for &id in &group.drive_ids {
-                let drive = dataset.drive(id).expect("group drives exist in dataset");
-                let analysis = self.analyze_drive(dataset, drive)?;
-                windows.push(analysis.window_hours);
-                analyzed += 1;
-                for (form, count) in &mut votes {
-                    if *form == analysis.best_model.form() {
-                        *count += 1;
-                    }
-                }
-                for ((_, sum), (_, rmse)) in rmse_sums.iter_mut().zip(&analysis.model_rmse) {
-                    *sum += rmse;
-                }
-                if id == group.centroid_drive {
-                    centroid = Some(analysis);
-                }
-            }
-            let centroid = centroid.ok_or_else(|| {
-                AnalysisError::UnsuitableDataset(format!(
-                    "group {} centroid drive missing from dataset",
-                    group.index + 1
-                ))
-            })?;
-            let mean_rmse_by_form: Vec<(SignatureForm, f64)> =
-                rmse_sums.into_iter().map(|(f, sum)| (f, sum / analyzed.max(1) as f64)).collect();
-            let dominant_form = votes
-                .iter()
-                .max_by_key(|(_, count)| *count)
-                .map(|&(f, _)| f)
-                .expect("votes non-empty");
-            let min = windows.iter().copied().min().unwrap_or(0);
-            let max = windows.iter().copied().max().unwrap_or(0);
-            let mean = windows.iter().sum::<usize>() as f64 / windows.len().max(1) as f64;
-            result.push(GroupDegradation {
-                group_index: group.index,
-                window_stats: (min, mean, max),
-                dominant_form,
-                form_votes: votes,
-                mean_rmse_by_form,
-                centroid,
-                windows,
-            });
-        }
-        let _ = records;
-        Ok(result)
+        summarize_groups(categorization, |id| {
+            let drive = dataset.drive(id).expect("group drives exist in dataset");
+            self.analyze_drive(dataset, drive)
+        })
     }
 
     /// [`analyze_groups`](Self::analyze_groups) against column-major fleet
@@ -422,70 +370,78 @@ impl DegradationAnalyzer {
     pub fn analyze_groups_columns(
         &self,
         columns: &FleetColumns,
-        records: &FailureRecordSet,
         categorization: &Categorization,
     ) -> Result<Vec<GroupDegradation>, AnalysisError> {
-        let mut result = Vec::with_capacity(categorization.num_groups());
-        for group in categorization.groups() {
-            let mut windows = Vec::with_capacity(group.size());
-            let mut votes: Vec<(SignatureForm, usize)> =
-                SignatureForm::ALL.iter().map(|&f| (f, 0)).collect();
-            let mut rmse_sums: Vec<(SignatureForm, f64)> =
-                SignatureForm::ALL.iter().map(|&f| (f, 0.0)).collect();
-            let mut centroid: Option<DriveDegradation> = None;
-            let mut analyzed = 0usize;
-            for &id in &group.drive_ids {
-                let pos = columns.position(id).expect("group drives exist in dataset");
-                let analysis = self.analyze_drive_columns(columns, pos)?;
-                windows.push(analysis.window_hours);
-                analyzed += 1;
-                for (form, count) in &mut votes {
-                    if *form == analysis.best_model.form() {
-                        *count += 1;
-                    }
-                }
-                for ((_, sum), (_, rmse)) in rmse_sums.iter_mut().zip(&analysis.model_rmse) {
-                    *sum += rmse;
-                }
-                if id == group.centroid_drive {
-                    centroid = Some(analysis);
+        summarize_groups(categorization, |id| {
+            let pos = columns.position(id).expect("group drives exist in dataset");
+            self.analyze_drive_columns(columns, pos)
+        })
+    }
+}
+
+/// Folds each group's per-drive analyses — `analyze` runs once per member
+/// drive, in group order — into its signature summary: form votes, mean
+/// RMSE per form, window statistics and the centroid drive's analysis.
+fn summarize_groups(
+    categorization: &Categorization,
+    mut analyze: impl FnMut(DriveId) -> Result<DriveDegradation, AnalysisError>,
+) -> Result<Vec<GroupDegradation>, AnalysisError> {
+    let mut result = Vec::with_capacity(categorization.num_groups());
+    for group in categorization.groups() {
+        let mut windows = Vec::with_capacity(group.size());
+        let mut votes: Vec<(SignatureForm, usize)> =
+            SignatureForm::ALL.iter().map(|&f| (f, 0)).collect();
+        let mut rmse_sums: Vec<(SignatureForm, f64)> =
+            SignatureForm::ALL.iter().map(|&f| (f, 0.0)).collect();
+        let mut centroid: Option<DriveDegradation> = None;
+        let mut analyzed = 0usize;
+        for &id in &group.drive_ids {
+            let analysis = analyze(id)?;
+            windows.push(analysis.window_hours);
+            analyzed += 1;
+            for (form, count) in &mut votes {
+                if *form == analysis.best_model.form() {
+                    *count += 1;
                 }
             }
-            let centroid = centroid.ok_or_else(|| {
-                AnalysisError::UnsuitableDataset(format!(
-                    "group {} centroid drive missing from dataset",
-                    group.index + 1
-                ))
-            })?;
-            let mean_rmse_by_form: Vec<(SignatureForm, f64)> =
-                rmse_sums.into_iter().map(|(f, sum)| (f, sum / analyzed.max(1) as f64)).collect();
-            let dominant_form = votes
-                .iter()
-                .max_by_key(|(_, count)| *count)
-                .map(|&(f, _)| f)
-                .expect("votes non-empty");
-            let min = windows.iter().copied().min().unwrap_or(0);
-            let max = windows.iter().copied().max().unwrap_or(0);
-            let mean = windows.iter().sum::<usize>() as f64 / windows.len().max(1) as f64;
-            result.push(GroupDegradation {
-                group_index: group.index,
-                window_stats: (min, mean, max),
-                dominant_form,
-                form_votes: votes,
-                mean_rmse_by_form,
-                centroid,
-                windows,
-            });
+            for ((_, sum), (_, rmse)) in rmse_sums.iter_mut().zip(&analysis.model_rmse) {
+                *sum += rmse;
+            }
+            if id == group.centroid_drive {
+                centroid = Some(analysis);
+            }
         }
-        let _ = records;
-        Ok(result)
+        let centroid = centroid.ok_or_else(|| {
+            AnalysisError::UnsuitableDataset(format!(
+                "group {} centroid drive missing from dataset",
+                group.index + 1
+            ))
+        })?;
+        let mean_rmse_by_form: Vec<(SignatureForm, f64)> =
+            rmse_sums.into_iter().map(|(f, sum)| (f, sum / analyzed.max(1) as f64)).collect();
+        let dominant_form =
+            votes.iter().max_by_key(|(_, count)| *count).map(|&(f, _)| f).expect("votes non-empty");
+        let min = windows.iter().copied().min().unwrap_or(0);
+        let max = windows.iter().copied().max().unwrap_or(0);
+        let mean = windows.iter().sum::<usize>() as f64 / windows.len().max(1) as f64;
+        result.push(GroupDegradation {
+            group_index: group.index,
+            window_stats: (min, mean, max),
+            dominant_form,
+            form_votes: votes,
+            mean_rmse_by_form,
+            centroid,
+            windows,
+        });
     }
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::categorize::{CategorizationConfig, Categorizer};
+    use crate::features::FailureRecordSet;
     use dds_smartsim::{FailureMode, FleetConfig, FleetSimulator};
 
     fn dataset() -> Dataset {
@@ -548,7 +504,7 @@ mod tests {
         let cat = Categorizer::new(CategorizationConfig { run_svc: false, ..Default::default() })
             .categorize(&ds, &records)
             .unwrap();
-        let groups = DegradationAnalyzer::default().analyze_groups(&ds, &records, &cat).unwrap();
+        let groups = DegradationAnalyzer::default().analyze_groups(&ds, &cat).unwrap();
         assert_eq!(groups.len(), 3);
         // Group 2 must be dominated by the linear form (Eq. 4).
         assert_eq!(groups[1].dominant_form, SignatureForm::Linear, "{:?}", groups[1].form_votes);
@@ -563,7 +519,7 @@ mod tests {
         let cat = Categorizer::new(CategorizationConfig { run_svc: false, ..Default::default() })
             .categorize(&ds, &records)
             .unwrap();
-        let groups = DegradationAnalyzer::default().analyze_groups(&ds, &records, &cat).unwrap();
+        let groups = DegradationAnalyzer::default().analyze_groups(&ds, &cat).unwrap();
         for g in &groups {
             let (min, mean, max) = g.window_stats;
             assert!(min as f64 <= mean && mean <= max as f64);

@@ -270,7 +270,7 @@ impl Analysis {
         let degradation =
             stage("pipeline.degradation", "dds_pipeline_degradation_seconds", || {
                 let analyzer = DegradationAnalyzer::new(self.config.degradation.clone());
-                analyzer.analyze_groups_columns(&columns, &failure_records, &categorization)
+                analyzer.analyze_groups_columns(&columns, &categorization)
             })?;
 
         // --- Figs. 9–12: the per-group influence analyses and the z-score

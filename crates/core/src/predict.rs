@@ -918,7 +918,7 @@ mod tests {
         let cat = Categorizer::new(CategorizationConfig { run_svc: false, ..Default::default() })
             .categorize(&ds, &records)
             .unwrap();
-        let deg = DegradationAnalyzer::default().analyze_groups(&ds, &records, &cat).unwrap();
+        let deg = DegradationAnalyzer::default().analyze_groups(&ds, &cat).unwrap();
         (ds, cat, deg)
     }
 

@@ -207,25 +207,11 @@ fn sweep_groups(
 }
 
 /// Runs the sweep for every attribute and ranks which attribute best
-/// separates each group (the §V-A diagnosis table).
-///
-/// # Errors
-///
-/// Propagates [`temporal_z_scores`] errors.
-pub fn all_attribute_z_scores(
-    dataset: &Dataset,
-    records: &FailureRecordSet,
-    categorization: &Categorization,
-    config: &ZScoreConfig,
-) -> Result<Vec<TemporalZScores>, AnalysisError> {
-    all_attribute_z_scores_with(dataset, records, categorization, config, Parallelism::Sequential)
-}
-
-/// [`all_attribute_z_scores`] with an explicit parallelism mode. Each
-/// attribute's sweep is independent of the others (its own good-reference
-/// vector, its own per-group series), so the 12 sweeps fan out across
-/// threads; output order follows [`Attribute::ALL`] and a failure
-/// surfaces for the lowest attribute index in every mode.
+/// separates each group (the §V-A diagnosis table). Each attribute's
+/// sweep is independent of the others (its own good-reference vector, its
+/// own per-group series), so the 12 sweeps fan out across threads; output
+/// order follows [`Attribute::ALL`] and a failure surfaces for the lowest
+/// attribute index in every mode.
 ///
 /// # Errors
 ///
@@ -436,7 +422,14 @@ mod tests {
     #[test]
     fn all_attributes_sweep_covers_twelve() {
         let (ds, records, cat) = setup();
-        let all = all_attribute_z_scores(&ds, &records, &cat, &ZScoreConfig::default()).unwrap();
+        let all = all_attribute_z_scores_with(
+            &ds,
+            &records,
+            &cat,
+            &ZScoreConfig::default(),
+            Parallelism::Sequential,
+        )
+        .unwrap();
         assert_eq!(all.len(), 12);
         // TC and POH are the two diagnostic attributes; they must single
         // out different groups (G1 vs G3).
@@ -468,7 +461,14 @@ mod tests {
     #[test]
     fn discrimination_table_names_tc_for_group1_and_poh_for_group3() {
         let (ds, records, cat) = setup();
-        let sweeps = all_attribute_z_scores(&ds, &records, &cat, &ZScoreConfig::default()).unwrap();
+        let sweeps = all_attribute_z_scores_with(
+            &ds,
+            &records,
+            &cat,
+            &ZScoreConfig::default(),
+            Parallelism::Sequential,
+        )
+        .unwrap();
         let table = DiscriminationTable::from_sweeps(&sweeps);
         assert_eq!(table.rows.len(), 12);
         assert_eq!(

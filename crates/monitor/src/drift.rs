@@ -6,11 +6,13 @@
 //! against the serving model's training metadata on two channels:
 //!
 //! * **ordering drift** — a record whose hour regresses or repeats for
-//!   its drive (the wire form of clock skew and replayed batches). The
-//!   training window's own disorder rate (the quality gate's quarantine
-//!   fraction, [`DriftBaseline::expected_disorder`]) is subtracted as a
-//!   baseline, so a model refit *on* a skewed stream stops flagging the
-//!   same skew — promotion causally clears the drift signal.
+//!   its drive (the wire form of clock skew and replayed batches): the
+//!   quality gate's `OutOfOrder` and `DuplicateHour` rule, with no
+//!   exception for a wrapped hour counter. The training window's own
+//!   disorder rate (the quality gate's quarantine fraction,
+//!   [`DriftBaseline::expected_disorder`]) is subtracted as a baseline,
+//!   so a model refit *on* a skewed stream stops flagging the same skew
+//!   — promotion causally clears the drift signal.
 //! * **range drift** — a value that normalizes outside the training
 //!   scaler's `[-1, 1]` band by more than [`RANGE_MARGIN`]: the live
 //!   distribution has left the bounds Eq. (1) was fitted on.
@@ -40,14 +42,6 @@ use std::collections::HashMap;
 /// beyond healthy spread but well inside what a shifted distribution
 /// produces.
 pub const RANGE_MARGIN: f64 = 0.25;
-
-/// An hour-counter regression of at least this much is read as counter
-/// rollover (a long-soak collector wrapping its u32 hour counter), not as
-/// ordering drift: replayed batches and clock skew regress by hours,
-/// never by half the counter range. On rollover the drive's watermark
-/// follows the stream instead of pinning every subsequent record as
-/// disordered forever.
-pub const HOUR_ROLLOVER_GAP: u32 = u32::MAX / 2;
 
 /// Live RMSE may exceed the artifact's training RMSE by this factor
 /// before the refit registers an RMSE-drift breach
@@ -167,12 +161,6 @@ impl DriftDetector {
             std::collections::hash_map::Entry::Occupied(mut entry) => {
                 let last = *entry.get();
                 if record.hour > last {
-                    entry.insert(record.hour);
-                    false
-                } else if last - record.hour >= HOUR_ROLLOVER_GAP {
-                    // Counter rollover, not replay: follow the stream so
-                    // the wrapped drive doesn't read as disordered for
-                    // the rest of the session.
                     entry.insert(record.hour);
                     false
                 } else {
@@ -555,41 +543,33 @@ mod tests {
     }
 
     #[test]
-    fn hour_rollover_is_not_ordering_drift_but_replay_still_is() {
+    fn ordering_drift_matches_the_quality_gate_verdict() {
         let bundle = bundle(4_010);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_010)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
+        let mut sanitizer = FleetSanitizer::new(QualityPolicy::default());
         let (drive, record) = hour_ordered(&live).remove(0);
+        let at = |hour: u32| HealthRecord { hour, ..record.clone() };
 
         // Run the drive's hour counter up to the top of the u32 range,
-        // then wrap: the post-wrap record must read clean, and the
-        // watermark must follow the wrapped stream.
-        let mut late = record.clone();
-        late.hour = u32::MAX - 2;
+        // then wrap: the wrapped hour and every later one are ordering
+        // drift exactly when the gate quarantines them as out of order.
+        let late = at(u32::MAX - 2);
         assert!(!detector.observe(drive, &late));
-        let mut wrapped = record.clone();
-        wrapped.hour = 1;
-        assert!(!detector.observe(drive, &wrapped), "rollover is not drift");
-        let mut next = record.clone();
-        next.hour = 2;
-        assert!(!detector.observe(drive, &next), "post-rollover stream continues cleanly");
-
-        // An ordinary regression (replayed batch) still drifts.
-        let mut replayed = record.clone();
-        replayed.hour = 1;
-        assert!(detector.observe(drive, &replayed), "small regressions stay ordering drift");
-        assert_eq!(detector.excess_drifted(), 1);
-
-        // The sanitizer has no rollover rule: it quarantines the wrapped
-        // hour, and every later one, as out of order until a new session.
-        let mut sanitizer = FleetSanitizer::new(QualityPolicy::default());
         assert_eq!(sanitizer.admit(drive, &late), Ok(late.clone()));
-        for record in [&wrapped, &next] {
+        for record in [at(1), at(2)] {
+            assert!(detector.observe(drive, &record), "a backward jump is drift");
             let out_of_order =
                 DataQualityError::OutOfOrder { drive, last_hour: late.hour, hour: record.hour };
-            assert_eq!(sanitizer.admit(drive, record), Err(out_of_order));
+            assert_eq!(sanitizer.admit(drive, &record), Err(out_of_order));
         }
+        assert_eq!(detector.excess_drifted(), 2);
+
+        // A new session forgets the watermark on both sides alike.
+        detector.new_session();
         sanitizer.new_session();
+        let next = at(2);
+        assert!(!detector.observe(drive, &next), "a new session forgets");
         assert_eq!(sanitizer.admit(drive, &next), Ok(next.clone()), "a new session forgets");
     }
 

@@ -62,7 +62,7 @@ pub mod wire;
 
 pub use alert::{Alert, AlertKind, Severity};
 pub use bundle::{GroupModel, ModelBundle};
-pub use drift::{DriftBaseline, DriftDetector, HOUR_ROLLOVER_GAP, RANGE_MARGIN, RMSE_BUDGET_RATIO};
+pub use drift::{DriftBaseline, DriftDetector, RANGE_MARGIN, RMSE_BUDGET_RATIO};
 pub use history::{AlertHistory, DEFAULT_HISTORY_CAPACITY};
 pub use monitor::{FleetMonitor, HealthStatus, MonitorConfig};
 pub use service::{ModelSlot, MonitorService, PromotionGate, PromotionOutcome};

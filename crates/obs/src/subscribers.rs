@@ -119,19 +119,18 @@ impl Subscriber for StderrSubscriber {
 /// output is always valid JSON-lines.
 pub struct JsonLinesSubscriber {
     writer: Mutex<Box<dyn Write + Send>>,
-    min_level: Level,
 }
 
 impl std::fmt::Debug for JsonLinesSubscriber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonLinesSubscriber").field("min_level", &self.min_level).finish()
+        f.debug_struct("JsonLinesSubscriber").finish_non_exhaustive()
     }
 }
 
 impl JsonLinesSubscriber {
     /// Wraps an arbitrary writer, recording every level.
     pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        JsonLinesSubscriber { writer: Mutex::new(writer), min_level: Level::Trace }
+        JsonLinesSubscriber { writer: Mutex::new(writer) }
     }
 
     /// Creates (truncating) `path` and writes JSON lines to it.
@@ -141,13 +140,6 @@ impl JsonLinesSubscriber {
     /// Returns any I/O error from creating the file.
     pub fn create(path: &Path) -> io::Result<Self> {
         Ok(Self::new(Box::new(BufWriter::new(File::create(path)?))))
-    }
-
-    /// Restricts recording to `min_level` and above.
-    #[must_use]
-    pub fn with_min_level(mut self, min_level: Level) -> Self {
-        self.min_level = min_level;
-        self
     }
 
     fn write_line(&self, line: &str) {
@@ -193,7 +185,7 @@ impl JsonLinesSubscriber {
 
 impl Subscriber for JsonLinesSubscriber {
     fn min_level(&self) -> Level {
-        self.min_level
+        Level::Trace
     }
 
     fn on_span_start(&self, span: &SpanInfo<'_>) {

@@ -237,11 +237,6 @@ impl Dataset {
         out
     }
 
-    /// Normalized value of one attribute in one record.
-    pub fn normalize_value(&self, attr: Attribute, value: f64) -> f64 {
-        self.scaler.transform_value(attr.index(), value)
-    }
-
     /// Normalized time series of one attribute over a profile.
     pub fn normalized_series(&self, profile: &DriveProfile, attr: Attribute) -> Vec<f64> {
         profile
@@ -307,7 +302,6 @@ mod tests {
         let rec0 = record(0, 0.0);
         let norm0 = ds.normalize_record(&rec0);
         assert!(norm0.iter().all(|&v| (v + 1.0).abs() < 1e-12));
-        assert_eq!(ds.normalize_value(Attribute::PowerOnHours, 20.0), 0.0);
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! The paper's data comes from a production datacenter with "diverse
 //! workloads" (§IV-B) where temperature turned out to be the dominant
 //! trigger of logical failures (§V-A). The environment model is simple but
-//! carries the two signals the analysis consumes: a per-drive thermal
-//! operating point (cold aisle vs hot spot) and a fluctuating load that
-//! modulates error opportunities.
-
-use crate::randutil;
-use rand::Rng;
+//! carries the two signals the analysis consumes: the ambient temperature
+//! each drive's thermal operating point builds on (the cold-aisle vs
+//! hot-spot rack offsets live in [`topology`](crate::topology)) and a
+//! fluctuating load that modulates error opportunities.
 
 /// How the fleet's I/O intensity evolves over time.
 ///
@@ -101,12 +99,6 @@ impl Environment {
     pub fn load(&self, hour: u32) -> f64 {
         self.load_model.load(hour)
     }
-
-    /// Samples a per-drive thermal offset over ambient: the rack position
-    /// plus internal heating (mean +4 °C, sd 1.5 °C, floored at 0).
-    pub fn sample_rack_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        randutil::normal(rng, 4.0, 1.5).max(0.0)
-    }
 }
 
 impl Default for Environment {
@@ -118,8 +110,6 @@ impl Default for Environment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn ambient_stays_in_band() {
@@ -191,15 +181,5 @@ mod tests {
         config.environment.load_model = LoadModel::Trace(trace);
         let dataset = FleetSimulator::new(config).run();
         assert_eq!(dataset.failed_drives().count(), 5);
-    }
-
-    #[test]
-    fn rack_offsets_are_nonnegative_and_spread() {
-        let env = Environment::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let offsets: Vec<f64> = (0..500).map(|_| env.sample_rack_offset(&mut rng)).collect();
-        assert!(offsets.iter().all(|&o| o >= 0.0));
-        let mean = offsets.iter().sum::<f64>() / offsets.len() as f64;
-        assert!((mean - 4.0).abs() < 0.5);
     }
 }

@@ -103,18 +103,6 @@ impl ColMatrix {
         self.cols[c][r]
     }
 
-    /// Copies row `r` into `out` (one value per column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or `out` is shorter than the column
-    /// count.
-    pub fn row_to(&self, r: usize, out: &mut [f64]) {
-        for (slot, col) in out.iter_mut().zip(&self.cols) {
-            *slot = col[r];
-        }
-    }
-
     /// Materializes the row-major view — the inverse of
     /// [`from_rows`](Self::from_rows).
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
@@ -166,14 +154,6 @@ mod tests {
     fn from_columns_round_trips() {
         let m = ColMatrix::from_columns(vec![vec![1.0, 4.0], vec![2.0, 5.0]]).unwrap();
         assert_eq!(m, ColMatrix::from_rows(&[vec![1.0, 2.0], vec![4.0, 5.0]]).unwrap());
-    }
-
-    #[test]
-    fn row_copy_matches_columns() {
-        let m = ColMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let mut out = [0.0; 2];
-        m.row_to(1, &mut out);
-        assert_eq!(out, [3.0, 4.0]);
     }
 
     #[test]

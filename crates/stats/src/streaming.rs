@@ -1,9 +1,9 @@
 //! Streaming (single-pass, constant-memory) statistics: Welford
-//! mean/variance and the P² quantile estimator.
+//! mean/variance.
 //!
 //! The online monitoring middleware (§VI of the paper) ingests hourly
-//! SMART records indefinitely; these accumulators track per-attribute
-//! baselines without storing history.
+//! SMART records indefinitely; [`RunningMoments`] tracks its
+//! per-attribute baselines without storing history.
 
 use crate::error::StatsError;
 
@@ -120,155 +120,9 @@ impl RunningMoments {
     }
 }
 
-/// The P² (Jain & Chlamtac) streaming quantile estimator: tracks one
-/// quantile with five markers and no history.
-///
-/// # Example
-///
-/// ```
-/// use dds_stats::streaming::P2Quantile;
-///
-/// let mut q = P2Quantile::new(0.5).unwrap();
-/// for i in 1..=1001 {
-///     q.push(i as f64);
-/// }
-/// let median = q.estimate().unwrap();
-/// assert!((median - 501.0).abs() < 15.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Increments of the desired positions.
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the quantile `q ∈ (0, 1)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] for `q` outside `(0, 1)`.
-    pub fn new(q: f64) -> Result<Self, StatsError> {
-        if !(0.0 < q && q < 1.0) {
-            return Err(StatsError::InvalidParameter(format!("quantile {q} not in (0, 1)")));
-        }
-        Ok(P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        })
-    }
-
-    /// The tracked quantile.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
-            }
-            return;
-        }
-        self.count += 1;
-        // Find the cell of x and clamp the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x < self.heights[1] {
-            0
-        } else if x < self.heights[2] {
-            1
-        } else if x < self.heights[3] {
-            2
-        } else if x <= self.heights[4] {
-            3
-        } else {
-            self.heights[4] = x;
-            3
-        };
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-        // Adjust the interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInput`] before the first observation.
-    pub fn estimate(&self) -> Result<f64, StatsError> {
-        match self.count {
-            0 => Err(StatsError::EmptyInput),
-            n if n < 5 => {
-                // Exact for tiny samples.
-                let mut v = self.heights[..n].to_vec();
-                v.sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
-                Ok(crate::descriptive::quantile(&v, self.q)?)
-            }
-            _ => Ok(self.heights[2]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn moments_match_batch_computation() {
@@ -322,56 +176,5 @@ mod tests {
         let snapshot = left;
         left.merge(&RunningMoments::new());
         assert_eq!(left, snapshot);
-    }
-
-    #[test]
-    fn p2_median_of_uniform_stream() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut q = P2Quantile::new(0.5).unwrap();
-        for _ in 0..20_000 {
-            q.push(rng.random::<f64>() * 100.0);
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 50.0).abs() < 3.0, "median estimate {est}");
-        assert_eq!(q.quantile(), 0.5);
-        assert_eq!(q.count(), 20_000);
-    }
-
-    #[test]
-    fn p2_tail_quantile() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let mut q = P2Quantile::new(0.95).unwrap();
-        for _ in 0..20_000 {
-            q.push(rng.random::<f64>());
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.95).abs() < 0.03, "p95 estimate {est}");
-    }
-
-    #[test]
-    fn p2_small_samples_are_exact() {
-        let mut q = P2Quantile::new(0.5).unwrap();
-        assert!(q.estimate().is_err());
-        q.push(10.0);
-        assert_eq!(q.estimate().unwrap(), 10.0);
-        q.push(20.0);
-        assert_eq!(q.estimate().unwrap(), 15.0);
-    }
-
-    #[test]
-    fn p2_rejects_degenerate_quantiles() {
-        assert!(P2Quantile::new(0.0).is_err());
-        assert!(P2Quantile::new(1.0).is_err());
-        assert!(P2Quantile::new(-0.2).is_err());
-    }
-
-    #[test]
-    fn p2_monotone_input() {
-        let mut q = P2Quantile::new(0.25).unwrap();
-        for i in 0..10_000 {
-            q.push(i as f64);
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 2_500.0).abs() < 150.0, "p25 estimate {est}");
     }
 }

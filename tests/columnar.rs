@@ -101,11 +101,11 @@ fn degradation_kernel_is_bit_identical_across_layouts() {
 fn group_degradation_is_bit_identical_across_layouts() {
     for seed in SEEDS {
         let dataset = fleet(seed);
-        let (records, cat) = categorize(&dataset);
+        let (_, cat) = categorize(&dataset);
         let columns = FleetColumns::build(&dataset, Parallelism::Sequential);
         let analyzer = DegradationAnalyzer::default();
-        let aos = analyzer.analyze_groups(&dataset, &records, &cat).expect("aos groups");
-        let soa = analyzer.analyze_groups_columns(&columns, &records, &cat).expect("soa groups");
+        let aos = analyzer.analyze_groups(&dataset, &cat).expect("aos groups");
+        let soa = analyzer.analyze_groups_columns(&columns, &cat).expect("soa groups");
         assert_eq!(aos.len(), soa.len());
         for (a, b) in aos.iter().zip(&soa) {
             assert_eq!(a.group_index, b.group_index);
@@ -169,11 +169,10 @@ fn zscore_kernel_is_bit_identical_across_layouts() {
 fn trained_predictors_are_bit_identical_across_layouts() {
     for seed in SEEDS {
         let dataset = fleet(seed);
-        let (records, cat) = categorize(&dataset);
+        let (_, cat) = categorize(&dataset);
         let columns = FleetColumns::build(&dataset, Parallelism::Sequential);
-        let degradation = DegradationAnalyzer::default()
-            .analyze_groups(&dataset, &records, &cat)
-            .expect("degradation");
+        let degradation =
+            DegradationAnalyzer::default().analyze_groups(&dataset, &cat).expect("degradation");
         let predictor = DegradationPredictor::default();
         let aos = predictor.train(&dataset, &cat, &degradation).expect("aos train");
         let soa = predictor.train_with_columns(&columns, &cat, &degradation).expect("soa train");

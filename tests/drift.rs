@@ -19,7 +19,7 @@ use dds_obs::metrics::Registry;
 use dds_obs::timeseries::TimeSeriesStore;
 use dds_obs::watchdog::Watchdog;
 use dds_smartsim::stream::hour_ordered;
-use dds_smartsim::{DriveId, FleetConfig, FleetSimulator, HealthRecord, StreamingFleet};
+use dds_smartsim::{Dataset, DriveId, FleetConfig, FleetSimulator, HealthRecord, StreamingFleet};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -32,6 +32,18 @@ fn drift_lock() -> MutexGuard<'static, ()> {
 /// The serve integration tests' seed, reused so the scenario matches
 /// `dds serve --seed 77 --chaos skew=0.5 --chaos-seed 1051`.
 const SEED: u64 = 77;
+
+/// The next ingest epoch as `dds serve` streams it: the clean manifest
+/// and its hour-ordered records corrupted with the epoch index as salt.
+fn next_epoch(
+    stream: &mut StreamingFleet,
+    engine: &ChaosEngine,
+) -> (Dataset, Vec<(DriveId, HealthRecord)>) {
+    let salt = stream.epochs_generated();
+    let manifest = stream.next_epoch();
+    let (records, _) = engine.corrupt_stream(salt, &hour_ordered(&manifest));
+    (manifest, records)
+}
 
 /// Splits an hour-ordered (possibly skew-scrambled) stream into the same
 /// maximal same-hour runs the serve loop ingests as batches.
@@ -60,11 +72,10 @@ fn chaos_skew_trips_the_drift_budget_at_a_pinned_tick_and_promotion_recovers() {
     let serving = ModelBundle::from_analysis(&training, &report);
 
     // Live stream: ingest epochs seeded SEED+1 onward, every record run
-    // through `--chaos skew=0.5 --chaos-seed 1051` (the chaos engine
-    // salts each epoch by its index, like serve).
+    // through `--chaos skew=0.5 --chaos-seed 1051` (salted by the epoch
+    // index, like serve).
     let engine = ChaosEngine::new("skew=0.5".parse().expect("spec"), 1051);
-    let mut stream = StreamingFleet::new(FleetConfig::test_scale().with_seed(SEED + 1))
-        .with_record_stage(engine.into_record_stage(0));
+    let mut stream = StreamingFleet::new(FleetConfig::test_scale().with_seed(SEED + 1));
 
     // Synthetic clock: one second per ingest batch, so the watchdog's
     // 30-second drift-budget window is exactly 30 batches regardless of
@@ -81,7 +92,7 @@ fn chaos_skew_trips_the_drift_budget_at_a_pinned_tick_and_promotion_recovers() {
     let mut degraded_reason = String::new();
 
     // Epoch 1: the skewed stream against the clean-trained baseline.
-    let (manifest, records) = stream.next_epoch_with_records();
+    let (manifest, records) = next_epoch(&mut stream, &engine);
     trainer.begin_epoch(&manifest);
     trainer.observe_batch(&records);
     drift.new_session();
@@ -124,7 +135,7 @@ fn chaos_skew_trips_the_drift_budget_at_a_pinned_tick_and_promotion_recovers() {
     // Epoch 2: the stream is still skewed, but the promoted baseline
     // absorbs the disorder — the drifted counter flattens, the breach
     // ages out of the 30-tick window, and health self-heals.
-    let (_, records) = stream.next_epoch_with_records();
+    let (_, records) = next_epoch(&mut stream, &engine);
     drift.new_session();
     let mut recovered_at = None;
     for batch in hour_batches(&records) {

@@ -323,6 +323,49 @@ proptest! {
     }
 
     #[test]
+    fn chaos_corrupts_each_drive_alike_in_any_interleaving(
+        drop in 0.0..0.3f64,
+        truncate in 0.0..0.3f64,
+        nullattr in 0.0..0.1f64,
+        sentinel in 0.0..0.1f64,
+        dup in 0.0..0.3f64,
+        reorder in 0.0..0.3f64,
+        skew in 0.0..0.3f64,
+        seed in 0u64..u64::MAX,
+        salt in 0u64..4,
+    ) {
+        use chaos_support::{stream_bits, synthetic_stream};
+        use dds_chaos::{ChaosEngine, ChaosSpec, FaultKind};
+        use std::collections::BTreeMap;
+
+        let spec = ChaosSpec::none()
+            .with_rate(FaultKind::Drop, drop).unwrap()
+            .with_rate(FaultKind::Truncate, truncate).unwrap()
+            .with_rate(FaultKind::NullAttr, nullattr).unwrap()
+            .with_rate(FaultKind::Sentinel, sentinel).unwrap()
+            .with_rate(FaultKind::Duplicate, dup).unwrap()
+            .with_rate(FaultKind::Reorder, reorder).unwrap()
+            .with_rate(FaultKind::Skew, skew).unwrap();
+        let hour_major = synthetic_stream(5, 24);
+        let mut drive_major = hour_major.clone();
+        drive_major.sort_by_key(|(drive, _)| drive.0);
+
+        // Each drive's corrupted sequence, in stream order.
+        let per_drive = |stream: &[_]| {
+            let mut by_drive: BTreeMap<u32, Vec<_>> = BTreeMap::new();
+            for (drive, hour, bits) in stream_bits(stream) {
+                by_drive.entry(drive).or_default().push((hour, bits));
+            }
+            by_drive
+        };
+        let engine = ChaosEngine::new(spec, seed);
+        let (by_hour, hour_counts) = engine.corrupt_stream(salt, &hour_major);
+        let (by_drive, drive_counts) = engine.corrupt_stream(salt, &drive_major);
+        prop_assert_eq!(per_drive(&by_hour), per_drive(&by_drive));
+        prop_assert_eq!(hour_counts, drive_counts);
+    }
+
+    #[test]
     fn chaos_tally_conserves_records(
         drop in 0.0..0.3f64,
         truncate in 0.0..0.3f64,
