@@ -160,9 +160,7 @@ impl ChaosOptions {
                 Ok(true)
             }
             "--chaos-seed" => {
-                let raw = take_value(iter, "--chaos-seed")?;
-                self.seed =
-                    raw.parse().map_err(|_| CliError(format!("invalid chaos seed {raw:?}")))?;
+                self.seed = parse_value(iter, "--chaos-seed", "chaos seed")?;
                 Ok(true)
             }
             _ => Ok(false),
@@ -448,10 +446,6 @@ const TRAIN_SALT: u64 = 0;
 /// `dds pipeline`); `dds serve` salts each epoch by its index instead.
 const LIVE_SALT: u64 = 1;
 
-fn parse_threads(raw: &str) -> Result<usize, Box<dyn Error>> {
-    raw.parse().map_err(|_| CliError::boxed(format!("invalid thread count {raw:?}")))
-}
-
 fn parse_shards(raw: &str) -> Result<usize, Box<dyn Error>> {
     match raw.parse() {
         Ok(0) | Err(_) => {
@@ -463,6 +457,17 @@ fn parse_shards(raw: &str) -> Result<usize, Box<dyn Error>> {
 
 fn take_value(args: &mut std::vec::IntoIter<String>, flag: &str) -> Result<String, Box<dyn Error>> {
     args.next().ok_or_else(|| CliError::boxed(format!("{flag} needs a value")))
+}
+
+/// Reads `flag`'s value and parses it as a `T`; a value that does not
+/// parse is reported as an invalid `what`.
+fn parse_value<T: std::str::FromStr>(
+    args: &mut std::vec::IntoIter<String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, Box<dyn Error>> {
+    let raw = take_value(args, flag)?;
+    raw.parse().map_err(|_| CliError::boxed(format!("invalid {what} {raw:?}")))
 }
 
 /// Parses a raw argument list (without the program name).
@@ -489,13 +494,9 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 }
                 match arg.as_str() {
                     "--scale" => scale = take_value(&mut iter, "--scale")?,
-                    "--seed" => {
-                        let raw = take_value(&mut iter, "--seed")?;
-                        seed =
-                            raw.parse().map_err(|_| CliError(format!("invalid seed {raw:?}")))?;
-                    }
+                    "--seed" => seed = parse_value(&mut iter, "--seed", "seed")?,
                     "--out" => out = Some(PathBuf::from(take_value(&mut iter, "--out")?)),
-                    "--threads" => threads = parse_threads(&take_value(&mut iter, "--threads")?)?,
+                    "--threads" => threads = parse_value(&mut iter, "--threads", "thread count")?,
                     other => return Err(CliError::boxed(format!("unknown flag {other:?}"))),
                 }
             }
@@ -515,14 +516,8 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 }
                 match arg.as_str() {
                     "--full-report" => full_report = true,
-                    "--k" => {
-                        let raw = take_value(&mut iter, "--k")?;
-                        k = Some(
-                            raw.parse()
-                                .map_err(|_| CliError(format!("invalid cluster count {raw:?}")))?,
-                        );
-                    }
-                    "--threads" => threads = parse_threads(&take_value(&mut iter, "--threads")?)?,
+                    "--k" => k = Some(parse_value(&mut iter, "--k", "cluster count")?),
+                    "--threads" => threads = parse_value(&mut iter, "--threads", "thread count")?,
                     other if !other.starts_with('-') && input.is_none() => {
                         input = Some(PathBuf::from(other));
                     }
@@ -549,12 +544,8 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 match arg.as_str() {
                     "--train" => train = Some(PathBuf::from(take_value(&mut iter, "--train")?)),
                     "--live" => live = Some(PathBuf::from(take_value(&mut iter, "--live")?)),
-                    "--limit" => {
-                        let raw = take_value(&mut iter, "--limit")?;
-                        limit =
-                            raw.parse().map_err(|_| CliError(format!("invalid limit {raw:?}")))?;
-                    }
-                    "--threads" => threads = parse_threads(&take_value(&mut iter, "--threads")?)?,
+                    "--limit" => limit = parse_value(&mut iter, "--limit", "limit")?,
+                    "--threads" => threads = parse_value(&mut iter, "--threads", "thread count")?,
                     "--listen" => listen = Some(take_value(&mut iter, "--listen")?),
                     "--shards" => shards = parse_shards(&take_value(&mut iter, "--shards")?)?,
                     other => return Err(CliError::boxed(format!("unknown flag {other:?}"))),
@@ -577,12 +568,8 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 }
                 match arg.as_str() {
                     "--scale" => scale = take_value(&mut iter, "--scale")?,
-                    "--seed" => {
-                        let raw = take_value(&mut iter, "--seed")?;
-                        seed =
-                            raw.parse().map_err(|_| CliError(format!("invalid seed {raw:?}")))?;
-                    }
-                    "--threads" => threads = parse_threads(&take_value(&mut iter, "--threads")?)?,
+                    "--seed" => seed = parse_value(&mut iter, "--seed", "seed")?,
+                    "--threads" => threads = parse_value(&mut iter, "--threads", "thread count")?,
                     "--listen" => listen = Some(take_value(&mut iter, "--listen")?),
                     other => return Err(CliError::boxed(format!("unknown flag {other:?}"))),
                 }
@@ -603,16 +590,12 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 }
                 match arg.as_str() {
                     "--scale" => scale = take_value(&mut iter, "--scale")?,
-                    "--seed" => {
-                        let raw = take_value(&mut iter, "--seed")?;
-                        seed =
-                            raw.parse().map_err(|_| CliError(format!("invalid seed {raw:?}")))?;
-                    }
+                    "--seed" => seed = parse_value(&mut iter, "--seed", "seed")?,
                     "--input" => input = Some(PathBuf::from(take_value(&mut iter, "--input")?)),
                     "--save-model" => {
                         save_model = Some(PathBuf::from(take_value(&mut iter, "--save-model")?));
                     }
-                    "--threads" => threads = parse_threads(&take_value(&mut iter, "--threads")?)?,
+                    "--threads" => threads = parse_value(&mut iter, "--threads", "thread count")?,
                     other => return Err(CliError::boxed(format!("unknown flag {other:?}"))),
                 }
             }
@@ -633,11 +616,7 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 match arg.as_str() {
                     "--model" => model = Some(PathBuf::from(take_value(&mut iter, "--model")?)),
                     "--live" => live = Some(PathBuf::from(take_value(&mut iter, "--live")?)),
-                    "--limit" => {
-                        let raw = take_value(&mut iter, "--limit")?;
-                        limit =
-                            raw.parse().map_err(|_| CliError(format!("invalid limit {raw:?}")))?;
-                    }
+                    "--limit" => limit = parse_value(&mut iter, "--limit", "limit")?,
                     other => return Err(CliError::boxed(format!("unknown flag {other:?}"))),
                 }
             }
@@ -655,31 +634,18 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 }
                 match arg.as_str() {
                     "--scale" => options.scale = take_value(&mut iter, "--scale")?,
-                    "--seed" => {
-                        let raw = take_value(&mut iter, "--seed")?;
-                        options.seed =
-                            raw.parse().map_err(|_| CliError(format!("invalid seed {raw:?}")))?;
-                    }
+                    "--seed" => options.seed = parse_value(&mut iter, "--seed", "seed")?,
                     "--threads" => {
-                        options.threads = parse_threads(&take_value(&mut iter, "--threads")?)?;
+                        options.threads = parse_value(&mut iter, "--threads", "thread count")?;
                     }
                     "--listen" => options.listen = take_value(&mut iter, "--listen")?,
                     "--epochs" => {
-                        let raw = take_value(&mut iter, "--epochs")?;
-                        options.epochs = raw
-                            .parse()
-                            .map_err(|_| CliError(format!("invalid epoch count {raw:?}")))?;
+                        options.epochs = parse_value(&mut iter, "--epochs", "epoch count")?;
                     }
-                    "--tick-ms" => {
-                        let raw = take_value(&mut iter, "--tick-ms")?;
-                        options.tick_ms =
-                            raw.parse().map_err(|_| CliError(format!("invalid tick {raw:?}")))?;
-                    }
+                    "--tick-ms" => options.tick_ms = parse_value(&mut iter, "--tick-ms", "tick")?,
                     "--chaos-epochs" => {
-                        let raw = take_value(&mut iter, "--chaos-epochs")?;
-                        options.chaos_epochs = raw
-                            .parse()
-                            .map_err(|_| CliError(format!("invalid chaos epoch count {raw:?}")))?;
+                        options.chaos_epochs =
+                            parse_value(&mut iter, "--chaos-epochs", "chaos epoch count")?;
                     }
                     "--model" => {
                         options.model = Some(PathBuf::from(take_value(&mut iter, "--model")?));
@@ -688,10 +654,8 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                         options.shards = parse_shards(&take_value(&mut iter, "--shards")?)?;
                     }
                     "--refit-every" => {
-                        let raw = take_value(&mut iter, "--refit-every")?;
-                        options.refit_every = raw
-                            .parse()
-                            .map_err(|_| CliError(format!("invalid refit cadence {raw:?}")))?;
+                        options.refit_every =
+                            parse_value(&mut iter, "--refit-every", "refit cadence")?;
                     }
                     "--ingest-queue" => {
                         let raw = take_value(&mut iter, "--ingest-queue")?;
@@ -716,16 +680,10 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                 match arg.as_str() {
                     "--url" => options.url = take_value(&mut iter, "--url")?,
                     "--interval-ms" => {
-                        let raw = take_value(&mut iter, "--interval-ms")?;
-                        options.interval_ms = raw
-                            .parse()
-                            .map_err(|_| CliError(format!("invalid interval {raw:?}")))?;
+                        options.interval_ms = parse_value(&mut iter, "--interval-ms", "interval")?;
                     }
                     "--frames" => {
-                        let raw = take_value(&mut iter, "--frames")?;
-                        options.frames = raw
-                            .parse()
-                            .map_err(|_| CliError(format!("invalid frame count {raw:?}")))?;
+                        options.frames = parse_value(&mut iter, "--frames", "frame count")?;
                     }
                     "--once" => options.once = true,
                     "--ascii" => options.ascii = true,
@@ -1089,6 +1047,43 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unparseable_flag_values_name_the_flag_and_the_value() {
+        for (args, message) in [
+            (&["simulate", "--out", "x", "--seed", "NaN"][..], r#"invalid seed "NaN""#),
+            (&["simulate", "--out", "x", "--threads", "lots"], r#"invalid thread count "lots""#),
+            (&["analyze", "a.csv", "--k", "three"], r#"invalid cluster count "three""#),
+            (&["analyze", "a.csv", "--threads", "-1"], r#"invalid thread count "-1""#),
+            (&["monitor", "--limit", "ten"], r#"invalid limit "ten""#),
+            (&["monitor", "--threads", "x"], r#"invalid thread count "x""#),
+            (&["monitor", "--shards", "0"], r#"invalid shard count "0" (must be at least 1)"#),
+            (&["monitor", "--chaos-seed", "soon"], r#"invalid chaos seed "soon""#),
+            (&["pipeline", "--seed", "s"], r#"invalid seed "s""#),
+            (&["pipeline", "--threads", "t"], r#"invalid thread count "t""#),
+            (&["train", "--seed", "s"], r#"invalid seed "s""#),
+            (&["train", "--threads", "t"], r#"invalid thread count "t""#),
+            (&["predict", "--limit", "l"], r#"invalid limit "l""#),
+            (&["serve", "--seed", "s"], r#"invalid seed "s""#),
+            (&["serve", "--threads", "t"], r#"invalid thread count "t""#),
+            (&["serve", "--epochs", "many"], r#"invalid epoch count "many""#),
+            (&["serve", "--tick-ms", "fast"], r#"invalid tick "fast""#),
+            (&["serve", "--chaos-epochs", "few"], r#"invalid chaos epoch count "few""#),
+            (&["serve", "--refit-every", "hourly"], r#"invalid refit cadence "hourly""#),
+            (&["serve", "--shards", "many"], r#"invalid shard count "many" (must be at least 1)"#),
+            (
+                &["serve", "--ingest-queue", "0"],
+                r#"invalid ingest queue capacity "0" (must be at least 1)"#,
+            ),
+            (&["top", "--interval-ms", "soon"], r#"invalid interval "soon""#),
+            (&["top", "--frames", "lots"], r#"invalid frame count "lots""#),
+            (&["top", "--width", "10"], r#"invalid width "10" (must be at least 40 columns)"#),
+            (&["serve", "--seed"], "--seed needs a value"),
+        ] {
+            let err = parse(argv(args)).unwrap_err();
+            assert_eq!(err.to_string(), message, "{args:?}");
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! ingested fleet-hour the loop drains the bounded [`IngestQueue`] fed by
 //! the `/ingest` endpoint (external batches ride along with the simulated
 //! stream), samples the metrics registry into a [`TimeSeriesStore`] and
-//! the per-shard [`ShardSeriesStore`] rings, evaluates the [`Watchdog`]'s
-//! standard SLO rules — including the shed-rate budget that flips
-//! `/healthz` under sustained overload — plus the per-shard thresholds
-//! that name the offending shard, and sleeps the configured tick. Every
+//! each shard's counters into its own store in the [`ShardSeriesStore`],
+//! evaluates the [`Watchdog`]'s standard SLO rules — including the
+//! shed-rate budget that flips `/healthz` under sustained overload — then
+//! the same latency and quarantine rules on each shard's store, which
+//! name the offending shard, and sleeps the configured tick. Every
 //! batch also deposits a span into the [`FlightRecorder`] behind
 //! `/trace`. The [`MonitorService`] endpoints (`/metrics`, `/healthz`,
 //! `/alerts`, `/shards`, `/trace`, `/timeseries`, …) answer from shared

@@ -31,6 +31,7 @@
 //! than rewinding anything already published.
 
 use crate::bundle::ModelBundle;
+use dds_core::quality::SENTINEL_VALUE;
 use dds_obs::metrics::Registry;
 use dds_smartsim::{DriveId, HealthRecord, NUM_ATTRIBUTES};
 use dds_stats::MinMaxScaler;
@@ -175,9 +176,10 @@ impl DriftDetector {
 
         let mut out_of_range = false;
         for (c, &value) in record.values.iter().enumerate() {
-            if !value.is_finite() {
-                // Missing sentinels are a quality problem, not necessarily
-                // drift; the quality gate owns them. Skip the channel.
+            if !value.is_finite() || value == SENTINEL_VALUE {
+                // Missing values (NaN, ±∞ and the vendor sentinel) are a
+                // quality problem, not necessarily drift; the quality
+                // gate owns them. Skip the channel.
                 continue;
             }
             self.sums[c] += value;
@@ -422,6 +424,41 @@ mod tests {
         assert_eq!(detector.examined(), records.len() as u64);
         assert_eq!(detector.drift_score(), 0.0);
         assert!(detector.attr_shift_max() < 0.25, "live means sit near training means");
+    }
+
+    #[test]
+    fn vendor_sentinels_are_missing_values_not_drift() {
+        let bundle = bundle(4_001);
+        let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_001)).run();
+        let clean = hour_ordered(&live);
+        let mut clean_detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
+        assert_eq!(clean_detector.observe_batch(&clean), 0);
+        // The same stream with one attribute of every 20th record replaced
+        // by the sentinel (as the chaos `sentinel` operator does), and
+        // with NaN in the same slots.
+        let with = |missing: f64| {
+            let mut records = clean.clone();
+            for (i, (_, record)) in records.iter_mut().enumerate() {
+                if i % 20 == 3 {
+                    record.values[i % NUM_ATTRIBUTES] = missing;
+                }
+            }
+            records
+        };
+        let mut sentinel = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
+        let mut nan = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
+        assert_eq!(sentinel.observe_batch(&with(SENTINEL_VALUE)), 0, "sentinels are not drift");
+        assert_eq!(nan.observe_batch(&with(f64::NAN)), 0);
+        assert_eq!(sentinel.drift_score(), 0.0);
+        // The mean-shift sums skip the sentinel exactly like NaN, so the
+        // shift stays at the clean stream's level.
+        assert_eq!(sentinel.attr_shift_max(), nan.attr_shift_max());
+        let clean_shift = clean_detector.attr_shift_max();
+        assert!(
+            (sentinel.attr_shift_max() - clean_shift).abs() < 0.01,
+            "shift {} against {clean_shift} clean",
+            sentinel.attr_shift_max()
+        );
     }
 
     #[test]

@@ -42,7 +42,9 @@ use dds_obs::http::{Handler, Request, Response};
 use dds_obs::journal::FlightRecorder;
 use dds_obs::metrics;
 use dds_obs::profile::StageProfiler;
-use dds_obs::timeseries::{ShardSeriesStore, TimeSeriesStore};
+use dds_obs::timeseries::{
+    ShardSeriesStore, TimeSeriesStore, SHARD_ACCEPTED, SHARD_ALERTS, SHARD_BATCH, SHARD_QUARANTINE,
+};
 use dds_obs::watchdog::HealthState;
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -302,22 +304,6 @@ impl MonitorService {
         }
     }
 
-    fn drift_endpoint(&self) -> Response {
-        let Some(slot) = &self.drift else {
-            return Response::not_found();
-        };
-        let document = slot.lock().map(|doc| doc.clone()).unwrap_or_default();
-        if document.is_empty() {
-            Response {
-                status: 503,
-                content_type: "application/json",
-                body: "{\"status\": \"starting\"}".to_string(),
-            }
-        } else {
-            Response::ok_json(document)
-        }
-    }
-
     fn promote_endpoint(&self) -> Response {
         let Some(gate) = &self.promotions else {
             return Response {
@@ -394,22 +380,6 @@ impl MonitorService {
         )
     }
 
-    fn shards_endpoint(&self) -> Response {
-        let Some(slot) = &self.shards else {
-            return Response::not_found();
-        };
-        let document = slot.lock().map(|doc| doc.clone()).unwrap_or_default();
-        if document.is_empty() {
-            Response {
-                status: 503,
-                content_type: "application/json",
-                body: "{\"status\": \"starting\"}".to_string(),
-            }
-        } else {
-            Response::ok_json(document)
-        }
-    }
-
     fn trace_endpoint(&self, request: &Request) -> Response {
         let Some(recorder) = &self.recorder else {
             return Response::not_found();
@@ -450,19 +420,22 @@ impl MonitorService {
         );
         let per_shard = match &self.shard_series {
             Some(series) => {
-                let rows: Vec<String> = (0..series.shards())
-                    .map(|shard| {
+                let rows: Vec<String> = series
+                    .shards()
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, store)| {
                         format!(
                             "{{\"shard\": {shard}, \"accepted_per_sec\": {}, \
                              \"quarantine_per_sec\": {}, \"alert_per_min\": {}, \
                              \"batch_p50_seconds\": {}, \"batch_p99_seconds\": {}, \
                              \"ingest_series\": {}}}",
-                            json_opt(series.accepted_per_sec(shard, w)),
-                            json_opt(series.quarantine_per_sec(shard, w)),
-                            json_opt(series.alert_per_min(shard, w)),
-                            json_opt(series.batch_quantile(shard, w, 0.5)),
-                            json_opt(series.batch_quantile(shard, w, 0.99)),
-                            json_series(&series.accepted_series(shard, SERIES_POINTS)),
+                            json_opt(store.rate_per_sec(SHARD_ACCEPTED, w)),
+                            json_opt(store.rate_per_sec(SHARD_QUARANTINE, w)),
+                            json_opt(store.rate_per_min(SHARD_ALERTS, w)),
+                            json_opt(store.window_quantile(SHARD_BATCH, w, 0.5)),
+                            json_opt(store.window_quantile(SHARD_BATCH, w, 0.99)),
+                            json_series(&store.rate_series(SHARD_ACCEPTED, SERIES_POINTS)),
                         )
                     })
                     .collect();
@@ -552,12 +525,31 @@ impl Handler for MonitorService {
                 self.profiler.as_ref().map_or_else(|| "{}".to_string(), |p| p.to_json()),
             ),
             "/model" => self.model_endpoint(),
-            "/shards" => self.shards_endpoint(),
-            "/drift" => self.drift_endpoint(),
+            "/shards" => published_document(self.shards.as_deref()),
+            "/drift" => published_document(self.drift.as_deref()),
             "/trace" => self.trace_endpoint(request),
             "/timeseries" => self.timeseries_endpoint(),
             _ => Response::not_found(),
         }
+    }
+}
+
+/// Serves a document slot the serve loop re-publishes (`/shards`,
+/// `/drift`): 404 when the deployment has no slot, `503 {"status":
+/// "starting"}` while it is still empty, the document otherwise.
+fn published_document(slot: Option<&Mutex<String>>) -> Response {
+    let Some(slot) = slot else {
+        return Response::not_found();
+    };
+    let document = slot.lock().map(|doc| doc.clone()).unwrap_or_default();
+    if document.is_empty() {
+        Response {
+            status: 503,
+            content_type: "application/json",
+            body: "{\"status\": \"starting\"}".to_string(),
+        }
+    } else {
+        Response::ok_json(document)
     }
 }
 
@@ -843,15 +835,31 @@ mod tests {
         registry.histogram("dds_ingest_batch_seconds").observe(2e-3);
         store.push(Duration::from_secs(10), registry.snapshot());
 
+        // Shard 0 runs fast and clean; shard 1 runs slow, quarantines
+        // and alerts. Every per-shard field differs between the two.
+        let shard_sample = |accepted, quarantined, alerts, batch_seconds: &[f64]| {
+            let mut sample = ShardSample {
+                accepted,
+                quarantined,
+                alerts,
+                batches: batch_seconds.len() as u64,
+                ..ShardSample::default()
+            };
+            for &seconds in batch_seconds {
+                sample.batch_buckets[metrics::Histogram::bucket_index(seconds)] += 1;
+            }
+            sample
+        };
         let shard_series = Arc::new(ShardSeriesStore::new(2, 16));
         for shard in 0..2 {
             shard_series.push(shard, Duration::from_secs(0), ShardSample::default());
-            shard_series.push(
-                shard,
-                Duration::from_secs(10),
-                ShardSample { accepted: 250, ..ShardSample::default() },
-            );
         }
+        let t10 = Duration::from_secs(10);
+        let t15 = Duration::from_secs(15);
+        shard_series.push(0, t10, shard_sample(200, 0, 2, &[1e-3, 1e-3]));
+        shard_series.push(1, t10, shard_sample(100, 40, 10, &[0.2, 1.5]));
+        shard_series.push(0, t15, shard_sample(375, 0, 3, &[1e-3, 1e-3, 2e-3]));
+        shard_series.push(1, t15, shard_sample(130, 95, 25, &[0.2, 1.5, 3.0, 0.05]));
 
         let service = MonitorService::new(Arc::new(AlertHistory::new(16)), HealthState::new())
             .with_timeseries(Arc::clone(&store))
@@ -870,6 +878,22 @@ mod tests {
         let shards = doc.get("per_shard").and_then(|v| v.as_array()).expect("per_shard");
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0].get("accepted_per_sec").and_then(|v| v.as_f64()), Some(25.0));
+        // The whole document, byte for byte: every fleet and per-shard
+        // field, its number rendering and its order.
+        assert_eq!(
+            reply.body,
+            "{\"window_seconds\": 60, \"fleet\": {\"ingest_per_sec\": 50.0, \
+             \"alert_per_min\": 60.0, \"shed_per_sec\": null, \"quarantine_per_sec\": null, \
+             \"batch_p50_seconds\": 0.002048, \"batch_p95_seconds\": 0.002048, \
+             \"batch_p99_seconds\": 0.002048, \"ingest_series\": [50.0], \
+             \"batch_p99_series\": [0.002048]}, \"per_shard\": [{\"shard\": 0, \
+             \"accepted_per_sec\": 25.0, \"quarantine_per_sec\": 0.0, \"alert_per_min\": 12.0, \
+             \"batch_p50_seconds\": 0.001024, \"batch_p99_seconds\": 0.002048, \
+             \"ingest_series\": [20.0, 35.0]}, {\"shard\": 1, \
+             \"accepted_per_sec\": 8.666666666666666, \"quarantine_per_sec\": 6.333333333333333, \
+             \"alert_per_min\": 100.0, \"batch_p50_seconds\": 0.262144, \
+             \"batch_p99_seconds\": 4.194304, \"ingest_series\": [10.0, 6.0]}]}"
+        );
 
         // A fleet-only deployment serves an empty per_shard array.
         let fleet_only = MonitorService::new(Arc::new(AlertHistory::new(16)), HealthState::new())

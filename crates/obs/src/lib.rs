@@ -37,11 +37,13 @@
 //!   sparklines, bars, ASCII fallback) for the `dds top` dashboard.
 //! - [`timeseries`] — a ring buffer of registry snapshots
 //!   ([`TimeSeriesStore`](timeseries::TimeSeriesStore)) answering
-//!   sliding-window rate and quantile queries, plus per-shard rings
-//!   ([`ShardSeriesStore`](timeseries::ShardSeriesStore)).
+//!   sliding-window rate and quantile queries; the per-shard windows
+//!   ([`ShardSeriesStore`](timeseries::ShardSeriesStore)) are one such
+//!   store per shard.
 //! - [`watchdog`] — an SLO rule engine ([`Watchdog`](watchdog::Watchdog))
 //!   evaluating window predicates and flipping a shared
-//!   [`HealthState`](watchdog::HealthState) to degraded.
+//!   [`HealthState`](watchdog::HealthState) to degraded; the per-shard
+//!   thresholds run as the same rules on each shard's store.
 //!
 //! # Quick start
 //!

@@ -13,6 +13,10 @@
 //! become a windowed histogram whose quantiles describe only recent
 //! observations.
 //!
+//! [`ShardSeriesStore`] keeps one such store per shard, fed from
+//! [`ShardSample`]s, so a shard's windows are answered by the same
+//! queries as the fleet's.
+//!
 //! # Example
 //!
 //! ```
@@ -31,7 +35,7 @@
 //! assert!((rate - 3.0).abs() < 1e-9); // 30 events over 10 s
 //! ```
 
-use crate::metrics::{quantile_from_buckets, MetricsSnapshot, Registry};
+use crate::metrics::{quantile_from_buckets, HistogramSnapshot, MetricsSnapshot, Registry};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -100,15 +104,40 @@ impl TimeSeriesStore {
         self.points.lock().ok()?.back().cloned()
     }
 
-    /// The newest sample and the oldest retained sample no older than
-    /// `window` before it. `None` until two samples span a nonzero
-    /// interval.
-    fn window_edges(&self, window: Duration) -> Option<(TimePoint, TimePoint)> {
+    /// Runs `query` on the oldest retained sample no older than `window`
+    /// before the newest one and on the newest, while holding the lock.
+    /// `None` until two samples span a nonzero interval.
+    fn with_edges<T>(
+        &self,
+        window: Duration,
+        query: impl FnOnce(&TimePoint, &TimePoint) -> Option<T>,
+    ) -> Option<T> {
         let points = self.points.lock().ok()?;
-        let newest = points.back()?.clone();
+        let newest = points.back()?;
         let left_edge = newest.elapsed.saturating_sub(window);
-        let oldest = points.iter().find(|p| p.elapsed >= left_edge)?.clone();
-        (newest.elapsed > oldest.elapsed).then_some((oldest, newest))
+        let oldest = points.iter().find(|p| p.elapsed >= left_edge)?;
+        if newest.elapsed > oldest.elapsed {
+            query(oldest, newest)
+        } else {
+            None
+        }
+    }
+
+    /// Runs `interval` on each of the most recent `n` consecutive sample
+    /// pairs, oldest first; pairs it cannot answer contribute `0.0`.
+    fn interval_series(
+        &self,
+        n: usize,
+        interval: impl Fn(&TimePoint, &TimePoint) -> Option<f64>,
+    ) -> Vec<f64> {
+        let Ok(points) = self.points.lock() else { return Vec::new() };
+        let skip = points.len().saturating_sub(n + 1);
+        points
+            .iter()
+            .skip(skip)
+            .zip(points.iter().skip(skip + 1))
+            .map(|(old, new)| interval(old, new).unwrap_or(0.0))
+            .collect()
     }
 
     /// The increase of counter `name` over the trailing `window`, divided
@@ -116,11 +145,7 @@ impl TimeSeriesStore {
     /// absent from the window's left edge was zero then (counters are
     /// born at zero); `None` until the newest sample covers the counter.
     pub fn rate_per_sec(&self, name: &str, window: Duration) -> Option<f64> {
-        let (oldest, newest) = self.window_edges(window)?;
-        let new = newest.snapshot.counter_value(name)?;
-        let old = oldest.snapshot.counter_value(name).unwrap_or(0);
-        let dt = (newest.elapsed - oldest.elapsed).as_secs_f64();
-        (dt > 0.0).then(|| new.saturating_sub(old) as f64 / dt)
+        self.with_edges(window, |old, new| counter_rate(old, new, name))
     }
 
     /// [`rate_per_sec`](TimeSeriesStore::rate_per_sec) scaled to events
@@ -133,10 +158,11 @@ impl TimeSeriesStore {
     /// trailing `window`. A histogram absent from the window's left edge
     /// had zero observations then.
     pub fn window_count(&self, name: &str, window: Duration) -> Option<u64> {
-        let (oldest, newest) = self.window_edges(window)?;
-        let new = newest.snapshot.histogram(name)?;
-        let old = oldest.snapshot.histogram(name).map(|h| h.count).unwrap_or(0);
-        Some(new.count.saturating_sub(old))
+        self.with_edges(window, |old, new| {
+            let new = new.snapshot.histogram(name)?;
+            let old = old.snapshot.histogram(name).map_or(0, |h| h.count);
+            Some(new.count.saturating_sub(old))
+        })
     }
 
     /// The estimated `q`-quantile of histogram `name` over the trailing
@@ -145,39 +171,16 @@ impl TimeSeriesStore {
     /// estimate. A histogram absent from the left edge had empty buckets
     /// then. `None` when the window saw no observations.
     pub fn window_quantile(&self, name: &str, window: Duration, q: f64) -> Option<f64> {
-        let (oldest, newest) = self.window_edges(window)?;
-        let new = newest.snapshot.histogram(name)?;
-        let old = oldest.snapshot.histogram(name);
-        let buckets: Vec<u64> = new
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| n.saturating_sub(old.map(|h| h.buckets[i]).unwrap_or(0)))
-            .collect();
-        quantile_from_buckets(&buckets, q)
+        self.with_edges(window, |old, new| bucket_quantile(old, new, name, q))
     }
 
     /// Per-interval rates of counter `name` over the most recent `n`
-    /// consecutive sample pairs, oldest first — the fleet sparkline feed.
+    /// consecutive sample pairs, oldest first — the sparkline feed.
     /// Intervals where the counter is absent (or time stands still)
     /// contribute `0.0`; a store with fewer than two samples yields an
     /// empty series.
     pub fn rate_series(&self, name: &str, n: usize) -> Vec<f64> {
-        let Ok(points) = self.points.lock() else { return Vec::new() };
-        let points: Vec<&TimePoint> = points.iter().collect();
-        let skip = points.len().saturating_sub(n + 1);
-        points[skip..]
-            .windows(2)
-            .map(|pair| {
-                let dt = (pair[1].elapsed.saturating_sub(pair[0].elapsed)).as_secs_f64();
-                if dt <= 0.0 {
-                    return 0.0;
-                }
-                let new = pair[1].snapshot.counter_value(name).unwrap_or(0);
-                let old = pair[0].snapshot.counter_value(name).unwrap_or(0);
-                new.saturating_sub(old) as f64 / dt
-            })
-            .collect()
+        self.interval_series(n, |old, new| counter_rate(old, new, name))
     }
 
     /// Per-interval `q`-quantiles of histogram `name` over the most
@@ -185,25 +188,47 @@ impl TimeSeriesStore {
     /// no observations contribute `0.0` (a flat-zero sparkline segment,
     /// not a hole).
     pub fn quantile_series(&self, name: &str, n: usize, q: f64) -> Vec<f64> {
-        let Ok(points) = self.points.lock() else { return Vec::new() };
-        let points: Vec<&TimePoint> = points.iter().collect();
-        let skip = points.len().saturating_sub(n + 1);
-        points[skip..]
-            .windows(2)
-            .map(|pair| {
-                let Some(new) = pair[1].snapshot.histogram(name) else { return 0.0 };
-                let old = pair[0].snapshot.histogram(name);
-                let buckets: Vec<u64> = new
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| b.saturating_sub(old.map(|h| h.buckets[i]).unwrap_or(0)))
-                    .collect();
-                quantile_from_buckets(&buckets, q).unwrap_or(0.0)
-            })
-            .collect()
+        self.interval_series(n, |old, new| bucket_quantile(old, new, name, q))
     }
 }
+
+/// The increase of counter `name` from `old` to `new` per second between
+/// them. A counter absent from `old` was zero then; `None` when `new`
+/// lacks the counter or no time passed.
+fn counter_rate(old: &TimePoint, new: &TimePoint, name: &str) -> Option<f64> {
+    let increase = new
+        .snapshot
+        .counter_value(name)?
+        .saturating_sub(old.snapshot.counter_value(name).unwrap_or(0));
+    let dt = new.elapsed.saturating_sub(old.elapsed).as_secs_f64();
+    (dt > 0.0).then(|| increase as f64 / dt)
+}
+
+/// The `q`-quantile of the observations histogram `name` gained from `old`
+/// to `new`: `old`'s bucket counts (empty if absent) are subtracted from
+/// `new`'s. `None` when `new` lacks the histogram or gained nothing.
+fn bucket_quantile(old: &TimePoint, new: &TimePoint, name: &str, q: f64) -> Option<f64> {
+    let new = new.snapshot.histogram(name)?;
+    let old = old.snapshot.histogram(name);
+    let buckets: Vec<u64> = new
+        .buckets
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| n.saturating_sub(old.map_or(0, |h| h.buckets[i])))
+        .collect();
+    quantile_from_buckets(&buckets, q)
+}
+
+/// Name of the counter of records past a shard's quality gate, in that
+/// shard's [`ShardSeriesStore`] store.
+pub const SHARD_ACCEPTED: &str = "accepted";
+/// Name of the counter of records a shard's quality gate quarantined.
+pub const SHARD_QUARANTINE: &str = "quarantine";
+/// Name of the counter of alerts a shard emitted.
+pub const SHARD_ALERTS: &str = "alerts";
+/// Name of the histogram of a shard's per-batch worker durations, in
+/// seconds.
+pub const SHARD_BATCH: &str = "batch";
 
 /// One per-shard cumulative sample, published by the serve loop from
 /// [`ShardStatus`]-style worker state after every ingested batch tick.
@@ -211,7 +236,7 @@ impl TimeSeriesStore {
 /// same discipline as [`MetricsSnapshot`] counters.
 ///
 /// [`ShardStatus`]: https://docs.rs/dds-monitor
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardSample {
     /// Records past this shard's quality gate (lifetime).
     pub accepted: u64,
@@ -227,30 +252,40 @@ pub struct ShardSample {
     pub batch_buckets: [u64; crate::metrics::HISTOGRAM_BUCKETS],
 }
 
-impl Default for ShardSample {
-    fn default() -> Self {
-        ShardSample {
-            accepted: 0,
-            quarantined: 0,
-            alerts: 0,
-            batches: 0,
-            batch_buckets: [0; crate::metrics::HISTOGRAM_BUCKETS],
+impl ShardSample {
+    /// The sample as a snapshot of a shard's four series. The batch
+    /// histogram carries no duration sum: the workers keep none.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot::default();
+        for (name, value) in [
+            (SHARD_ACCEPTED, self.accepted),
+            (SHARD_QUARANTINE, self.quarantined),
+            (SHARD_ALERTS, self.alerts),
+        ] {
+            snapshot.counters.insert(name.to_string(), value);
         }
+        let batch = HistogramSnapshot {
+            count: self.batches,
+            sum: 0.0,
+            buckets: self.batch_buckets.to_vec(),
+        };
+        snapshot.histograms.insert(SHARD_BATCH.to_string(), batch);
+        snapshot
     }
 }
 
-/// Per-shard sliding-window rings: one bounded sample ring per shard,
-/// answering the same window queries as [`TimeSeriesStore`] but scoped to
-/// a single shard — so the watchdog and `/timeseries` can name *which*
-/// shard is slow, shedding work to quarantine, or spiking alerts.
+/// Per-shard sliding windows: one [`TimeSeriesStore`] per shard, holding
+/// the series [`SHARD_ACCEPTED`], [`SHARD_QUARANTINE`], [`SHARD_ALERTS`]
+/// and [`SHARD_BATCH`]. A shard's windows answer the same queries as the
+/// fleet's, so the watchdog and `/timeseries` can name *which* shard is
+/// slow, shedding work to quarantine, or spiking alerts.
 ///
 /// All methods take `&self`; the store is shared between the serve loop
 /// (writer) and HTTP scrape handlers (readers).
 #[derive(Debug)]
 pub struct ShardSeriesStore {
-    capacity: usize,
     start: Instant,
-    shards: Vec<Mutex<VecDeque<(Duration, ShardSample)>>>,
+    shards: Vec<TimeSeriesStore>,
 }
 
 impl ShardSeriesStore {
@@ -258,15 +293,14 @@ impl ShardSeriesStore {
     /// recent `capacity` samples (minimum 2 — a window needs two edges).
     pub fn new(shards: usize, capacity: usize) -> Self {
         ShardSeriesStore {
-            capacity: capacity.max(2),
             start: Instant::now(),
-            shards: (0..shards.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
+            shards: (0..shards.max(1)).map(|_| TimeSeriesStore::new(capacity)).collect(),
         }
     }
 
-    /// Number of shards the store tracks.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    /// Every shard's store, indexed by shard.
+    pub fn shards(&self) -> &[TimeSeriesStore] {
+        &self.shards
     }
 
     /// Samples one shard now (wall clock). Out-of-range shards are
@@ -278,102 +312,11 @@ impl ShardSeriesStore {
     /// Appends a sample with an explicit timestamp (the deterministic
     /// hook tests drive; [`sample`](ShardSeriesStore::sample) is the
     /// wall-clock wrapper). Samples must arrive in non-decreasing
-    /// `elapsed` order per shard.
+    /// `elapsed` order per shard. Out-of-range shards are ignored.
     pub fn push(&self, shard: usize, elapsed: Duration, sample: ShardSample) {
-        let Some(ring) = self.shards.get(shard) else { return };
-        let mut points = ring.lock().expect("shard series poisoned");
-        if points.len() == self.capacity {
-            points.pop_front();
+        if let Some(store) = self.shards.get(shard) {
+            store.push(elapsed, sample.snapshot());
         }
-        points.push_back((elapsed, sample));
-    }
-
-    /// Number of retained samples for `shard` (0 for out-of-range shards).
-    pub fn len(&self, shard: usize) -> usize {
-        self.shards.get(shard).and_then(|r| r.lock().ok()).map(|p| p.len()).unwrap_or(0)
-    }
-
-    /// Whether `shard` has no samples yet.
-    pub fn is_empty(&self, shard: usize) -> bool {
-        self.len(shard) == 0
-    }
-
-    /// The newest sample and the oldest retained sample no older than
-    /// `window` before it, for one shard.
-    fn window_edges(
-        &self,
-        shard: usize,
-        window: Duration,
-    ) -> Option<((Duration, ShardSample), (Duration, ShardSample))> {
-        let points = self.shards.get(shard)?.lock().ok()?;
-        let newest = *points.back()?;
-        let left_edge = newest.0.saturating_sub(window);
-        let oldest = *points.iter().find(|(t, _)| *t >= left_edge)?;
-        (newest.0 > oldest.0).then_some((oldest, newest))
-    }
-
-    /// Windowed rate (events/sec) of one cumulative field, chosen by
-    /// `field`. `None` until two samples span a nonzero interval.
-    fn field_rate(
-        &self,
-        shard: usize,
-        window: Duration,
-        field: fn(&ShardSample) -> u64,
-    ) -> Option<f64> {
-        let ((t0, s0), (t1, s1)) = self.window_edges(shard, window)?;
-        let dt = (t1 - t0).as_secs_f64();
-        (dt > 0.0).then(|| field(&s1).saturating_sub(field(&s0)) as f64 / dt)
-    }
-
-    /// Records/sec past this shard's quality gate over the trailing
-    /// `window`.
-    pub fn accepted_per_sec(&self, shard: usize, window: Duration) -> Option<f64> {
-        self.field_rate(shard, window, |s| s.accepted)
-    }
-
-    /// Records/sec quarantined by this shard over the trailing `window`.
-    pub fn quarantine_per_sec(&self, shard: usize, window: Duration) -> Option<f64> {
-        self.field_rate(shard, window, |s| s.quarantined)
-    }
-
-    /// Alerts/min emitted by this shard over the trailing `window`.
-    pub fn alert_per_min(&self, shard: usize, window: Duration) -> Option<f64> {
-        self.field_rate(shard, window, |s| s.alerts).map(|r| r * 60.0)
-    }
-
-    /// The estimated `q`-quantile of this shard's per-batch worker
-    /// duration over the trailing `window` (bucket subtraction, like
-    /// [`TimeSeriesStore::window_quantile`]). `None` when the window saw
-    /// no batches.
-    pub fn batch_quantile(&self, shard: usize, window: Duration, q: f64) -> Option<f64> {
-        let ((_, s0), (_, s1)) = self.window_edges(shard, window)?;
-        let buckets: Vec<u64> = s1
-            .batch_buckets
-            .iter()
-            .zip(s0.batch_buckets.iter())
-            .map(|(&new, &old)| new.saturating_sub(old))
-            .collect();
-        quantile_from_buckets(&buckets, q)
-    }
-
-    /// Per-interval accepted-record rates over the most recent `n`
-    /// consecutive sample pairs, oldest first — the per-shard sparkline
-    /// feed. Zero-length intervals contribute `0.0`.
-    pub fn accepted_series(&self, shard: usize, n: usize) -> Vec<f64> {
-        let Some(ring) = self.shards.get(shard) else { return Vec::new() };
-        let Ok(points) = ring.lock() else { return Vec::new() };
-        let points: Vec<(Duration, ShardSample)> = points.iter().copied().collect();
-        let skip = points.len().saturating_sub(n + 1);
-        points[skip..]
-            .windows(2)
-            .map(|pair| {
-                let dt = pair[1].0.saturating_sub(pair[0].0).as_secs_f64();
-                if dt <= 0.0 {
-                    return 0.0;
-                }
-                pair[1].1.accepted.saturating_sub(pair[0].1.accepted) as f64 / dt
-            })
-            .collect()
     }
 }
 
@@ -552,7 +495,7 @@ mod tests {
     #[test]
     fn shard_series_windows_are_per_shard() {
         let store = ShardSeriesStore::new(2, 8);
-        assert_eq!(store.shards(), 2);
+        assert_eq!(store.shards().len(), 2);
         // Shard 0: steady fast batches. Shard 1: slow, quarantining.
         store.push(0, Duration::from_secs(0), shard_sample(0, 0, 0, &[]));
         store.push(1, Duration::from_secs(0), shard_sample(0, 0, 0, &[]));
@@ -560,50 +503,52 @@ mod tests {
         store.push(1, Duration::from_secs(10), shard_sample(100, 400, 60, &[500.0, 900.0]));
 
         let w = Duration::from_secs(60);
-        assert!((store.accepted_per_sec(0, w).unwrap() - 100.0).abs() < 1e-9);
-        assert!((store.accepted_per_sec(1, w).unwrap() - 10.0).abs() < 1e-9);
-        assert_eq!(store.quarantine_per_sec(0, w), Some(0.0));
-        assert!((store.quarantine_per_sec(1, w).unwrap() - 40.0).abs() < 1e-9);
-        assert!((store.alert_per_min(1, w).unwrap() - 360.0).abs() < 1e-9);
+        let [fast, slow] = store.shards() else { panic!("two shards") };
+        assert!((fast.rate_per_sec(SHARD_ACCEPTED, w).unwrap() - 100.0).abs() < 1e-9);
+        assert!((slow.rate_per_sec(SHARD_ACCEPTED, w).unwrap() - 10.0).abs() < 1e-9);
+        assert_eq!(fast.rate_per_sec(SHARD_QUARANTINE, w), Some(0.0));
+        assert!((slow.rate_per_sec(SHARD_QUARANTINE, w).unwrap() - 40.0).abs() < 1e-9);
+        assert!((slow.rate_per_min(SHARD_ALERTS, w).unwrap() - 360.0).abs() < 1e-9);
         // The slow shard's p99 is ~1000x the fast shard's.
-        let fast = store.batch_quantile(0, w, 0.99).unwrap();
-        let slow = store.batch_quantile(1, w, 0.99).unwrap();
-        assert!(slow > 100.0 * fast, "fast {fast}, slow {slow}");
+        let fast_p99 = fast.window_quantile(SHARD_BATCH, w, 0.99).unwrap();
+        let slow_p99 = slow.window_quantile(SHARD_BATCH, w, 0.99).unwrap();
+        assert!(slow_p99 > 100.0 * fast_p99, "fast {fast_p99}, slow {slow_p99}");
         // Sparkline series come from consecutive intervals.
-        assert_eq!(store.accepted_series(0, 8), vec![100.0]);
+        assert_eq!(fast.rate_series(SHARD_ACCEPTED, 8), vec![100.0]);
     }
 
     #[test]
     fn shard_series_edge_cases_mirror_the_fleet_store() {
         let store = ShardSeriesStore::new(1, 4);
+        let shard = &store.shards()[0];
         let w = Duration::from_secs(60);
         // Empty and single-sample shards answer None.
-        assert!(store.is_empty(0));
-        assert_eq!(store.accepted_per_sec(0, w), None);
+        assert!(shard.is_empty());
+        assert_eq!(shard.rate_per_sec(SHARD_ACCEPTED, w), None);
         store.push(0, Duration::from_secs(1), shard_sample(10, 0, 0, &[1.0]));
-        assert_eq!(store.accepted_per_sec(0, w), None);
-        assert_eq!(store.batch_quantile(0, w, 0.5), None);
-        // Out-of-range shards are inert, not panics.
+        assert_eq!(shard.rate_per_sec(SHARD_ACCEPTED, w), None);
+        assert_eq!(shard.window_quantile(SHARD_BATCH, w, 0.5), None);
+        // Out-of-range shards are inert, not panics: the push lands
+        // nowhere and there is no store to query.
         store.push(9, Duration::from_secs(2), ShardSample::default());
-        assert_eq!(store.len(9), 0);
-        assert_eq!(store.accepted_per_sec(9, w), None);
-        assert!(store.accepted_series(9, 4).is_empty());
+        assert!(store.shards().get(9).is_none());
+        assert_eq!(shard.len(), 1);
         // Saturation: the ring keeps the newest `capacity` samples.
         for t in 2..20u64 {
             store.push(0, Duration::from_secs(t), shard_sample(t * 10, 0, 0, &[]));
         }
-        assert_eq!(store.len(0), 4);
-        let r = store.accepted_per_sec(0, Duration::from_secs(1_000_000)).unwrap();
+        assert_eq!(shard.len(), 4);
+        let r = shard.rate_per_sec(SHARD_ACCEPTED, Duration::from_secs(1_000_000)).unwrap();
         assert!((r - 10.0).abs() < 1e-9);
         // A stalled clock yields no window...
         let stalled = ShardSeriesStore::new(1, 4);
         stalled.push(0, Duration::from_secs(5), shard_sample(10, 0, 0, &[]));
         stalled.push(0, Duration::from_secs(5), shard_sample(20, 0, 0, &[]));
-        assert_eq!(stalled.accepted_per_sec(0, w), None);
+        assert_eq!(stalled.shards()[0].rate_per_sec(SHARD_ACCEPTED, w), None);
         // ...and a cumulative-count regression clamps to zero.
         let reset = ShardSeriesStore::new(1, 4);
         reset.push(0, Duration::from_secs(0), shard_sample(500, 0, 0, &[]));
         reset.push(0, Duration::from_secs(10), shard_sample(50, 0, 0, &[]));
-        assert_eq!(reset.accepted_per_sec(0, w), Some(0.0));
+        assert_eq!(reset.shards()[0].rate_per_sec(SHARD_ACCEPTED, w), Some(0.0));
     }
 }

@@ -10,6 +10,9 @@
 //! in `dds_watchdog_violations_total`, and flips the shared
 //! [`HealthState`] to degraded; a clean evaluation clears the degradation
 //! again. `/healthz` reads the same [`HealthState`].
+//! [`Watchdog::evaluate_shards`] runs two of these rules, built from a
+//! [`ShardSlo`], on each shard's store in a [`ShardSeriesStore`], so a
+//! violation names its shard.
 //!
 //! # Example
 //!
@@ -36,7 +39,9 @@
 //! assert!(watchdog.health().is_degraded());
 //! ```
 
-use crate::timeseries::{ShardSeriesStore, TimeSeriesStore};
+use crate::timeseries::{
+    ShardSeriesStore, TimeSeriesStore, SHARD_ACCEPTED, SHARD_BATCH, SHARD_QUARANTINE,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -240,59 +245,31 @@ impl SloRule {
                     format!("{errors}/{total} error ratio {ratio:.4} exceeds budget {max_ratio:.4}")
                 })
             }
-            SloRule::QuarantineBudget { quarantined, accepted, max_ratio, window } => {
-                // A stream with zero quarantines may never have registered
-                // the quarantine counter at all — treat a missing series as
-                // a zero rate rather than a vacuous pass, so a fully
-                // corrupt stream (accepted counter missing instead) still
-                // trips the rule.
-                let q_rate = store.rate_per_sec(quarantined, *window).unwrap_or(0.0);
-                let a_rate = store.rate_per_sec(accepted, *window).unwrap_or(0.0);
-                let offered = q_rate + a_rate;
-                if offered <= 0.0 {
+            // The quarantine, shed and drift budgets are one rule: the
+            // first counter's share of the stream the two counters
+            // partition. A stream with no growth in the first counter may
+            // never have registered it, and a fully quarantined, shed or
+            // drifted one may never have grown the second — so a missing
+            // series reads as a zero rate rather than a vacuous pass.
+            SloRule::QuarantineBudget { quarantined: part, accepted: rest, max_ratio, window }
+            | SloRule::ShedBudget { shed: part, accepted: rest, max_ratio, window }
+            | SloRule::DriftBudget { drifted: part, clean: rest, max_ratio, window } => {
+                let (noun, budget) = match self {
+                    SloRule::QuarantineBudget { .. } => ("offered", "quarantine"),
+                    SloRule::ShedBudget { .. } => ("offered", "shed"),
+                    _ => ("examined", "drift"),
+                };
+                let part_rate = store.rate_per_sec(part, *window).unwrap_or(0.0);
+                let rest_rate = store.rate_per_sec(rest, *window).unwrap_or(0.0);
+                let total = part_rate + rest_rate;
+                if total <= 0.0 {
                     return None;
                 }
-                let ratio = q_rate / offered;
+                let ratio = part_rate / total;
                 (ratio > *max_ratio).then(|| {
                     format!(
-                        "{quarantined} ratio {ratio:.4} of offered records exceeds \
-                         quarantine budget {max_ratio:.4}"
-                    )
-                })
-            }
-            SloRule::ShedBudget { shed, accepted, max_ratio, window } => {
-                // Same missing-series discipline as the quarantine budget:
-                // a gateway that sheds everything may never grow the
-                // accepted counter, and must still trip.
-                let s_rate = store.rate_per_sec(shed, *window).unwrap_or(0.0);
-                let a_rate = store.rate_per_sec(accepted, *window).unwrap_or(0.0);
-                let offered = s_rate + a_rate;
-                if offered <= 0.0 {
-                    return None;
-                }
-                let ratio = s_rate / offered;
-                (ratio > *max_ratio).then(|| {
-                    format!(
-                        "{shed} ratio {ratio:.4} of offered records exceeds \
-                         shed budget {max_ratio:.4}"
-                    )
-                })
-            }
-            SloRule::DriftBudget { drifted, clean, max_ratio, window } => {
-                // Same missing-series discipline as the quarantine budget:
-                // a fully drifted stream may never grow the clean counter,
-                // and must still trip.
-                let d_rate = store.rate_per_sec(drifted, *window).unwrap_or(0.0);
-                let c_rate = store.rate_per_sec(clean, *window).unwrap_or(0.0);
-                let examined = d_rate + c_rate;
-                if examined <= 0.0 {
-                    return None;
-                }
-                let ratio = d_rate / examined;
-                (ratio > *max_ratio).then(|| {
-                    format!(
-                        "{drifted} ratio {ratio:.4} of examined records exceeds \
-                         drift budget {max_ratio:.4}"
+                        "{part} ratio {ratio:.4} of {noun} records exceeds {budget} budget \
+                         {max_ratio:.4}"
                     )
                 })
             }
@@ -431,75 +408,74 @@ impl Watchdog {
             .collect();
         if violations.is_empty() {
             self.health.clear_degraded();
-        } else {
-            let registry = crate::metrics::global();
-            for violation in &violations {
-                registry.counter("dds_watchdog_violations_total").inc();
-                crate::event!(
-                    crate::Level::Warn,
-                    "watchdog.slo_violation",
-                    rule = violation.rule,
-                    detail = violation.message.clone(),
-                );
-            }
-            self.health.degrade(&violations[0].message);
         }
+        self.report(&violations, "watchdog.slo_violation");
         violations
     }
 
     /// Runs the per-shard thresholds against every shard's sliding
     /// window, so violations carry shard attribution ("shard 3 batch
-    /// p99 …"). Degrade-only: a clean pass here never *clears* the
-    /// health state, so call [`Watchdog::evaluate`] first each tick (it
-    /// clears on a clean fleet pass) and this afterwards. Shards with
-    /// too few samples to span a window pass vacuously.
+    /// p99 …"). The thresholds become the fleet rules
+    /// [`SloRule::LatencyCeiling`] over the shard's [`SHARD_BATCH`]
+    /// histogram and [`SloRule::QuarantineBudget`] over its
+    /// [`SHARD_QUARANTINE`] and [`SHARD_ACCEPTED`] counters, checked
+    /// shard by shard in that order. Degrade-only: a clean pass here
+    /// never *clears* the health state, so call [`Watchdog::evaluate`]
+    /// first each tick (it clears on a clean fleet pass) and this
+    /// afterwards. Shards with too few samples to span a window pass
+    /// vacuously.
     pub fn evaluate_shards(&self, series: &ShardSeriesStore, slo: &ShardSlo) -> Vec<Violation> {
+        let rules = [
+            (
+                "shard_latency_ceiling",
+                SloRule::LatencyCeiling {
+                    histogram: SHARD_BATCH.into(),
+                    quantile: 0.99,
+                    ceiling_seconds: slo.batch_p99_ceiling_seconds,
+                    window: slo.window,
+                },
+            ),
+            (
+                "shard_quarantine_budget",
+                SloRule::QuarantineBudget {
+                    quarantined: SHARD_QUARANTINE.into(),
+                    accepted: SHARD_ACCEPTED.into(),
+                    max_ratio: slo.quarantine_max_ratio,
+                    window: slo.window,
+                },
+            ),
+        ];
         let mut violations = Vec::new();
-        for shard in 0..series.shards() {
-            if let Some(p99) = series.batch_quantile(shard, slo.window, 0.99) {
-                if p99 > slo.batch_p99_ceiling_seconds {
+        for (shard, store) in series.shards().iter().enumerate() {
+            for (name, rule) in &rules {
+                if let Some(message) = rule.check(store) {
                     violations.push(Violation {
-                        rule: "shard_latency_ceiling",
-                        message: format!(
-                            "shard {shard} batch p99 = {p99:.6}s over {:.0}s window exceeds \
-                             ceiling {:.6}s",
-                            slo.window.as_secs_f64(),
-                            slo.batch_p99_ceiling_seconds,
-                        ),
-                    });
-                }
-            }
-            let q_rate = series.quarantine_per_sec(shard, slo.window).unwrap_or(0.0);
-            let a_rate = series.accepted_per_sec(shard, slo.window).unwrap_or(0.0);
-            let offered = q_rate + a_rate;
-            if offered > 0.0 {
-                let ratio = q_rate / offered;
-                if ratio > slo.quarantine_max_ratio {
-                    violations.push(Violation {
-                        rule: "shard_quarantine_budget",
-                        message: format!(
-                            "shard {shard} quarantine ratio {ratio:.4} of offered records \
-                             exceeds quarantine budget {:.4}",
-                            slo.quarantine_max_ratio,
-                        ),
+                        rule: name,
+                        message: format!("shard {shard} {message}"),
                     });
                 }
             }
         }
-        if !violations.is_empty() {
-            let registry = crate::metrics::global();
-            for violation in &violations {
-                registry.counter("dds_watchdog_violations_total").inc();
-                crate::event!(
-                    crate::Level::Warn,
-                    "watchdog.shard_slo_violation",
-                    rule = violation.rule,
-                    detail = violation.message.clone(),
-                );
-            }
-            self.health.degrade(&violations[0].message);
-        }
+        self.report(&violations, "watchdog.shard_slo_violation");
         violations
+    }
+
+    /// Counts each violation in `dds_watchdog_violations_total`, fires
+    /// one `Warn` event named `event` per violation, and degrades the
+    /// health state with the first one's message.
+    fn report(&self, violations: &[Violation], event: &'static str) {
+        let Some(first) = violations.first() else { return };
+        let counter = crate::metrics::global().counter("dds_watchdog_violations_total");
+        for violation in violations {
+            counter.inc();
+            crate::event!(
+                crate::Level::Warn,
+                event,
+                rule = violation.rule,
+                detail = violation.message.clone(),
+            );
+        }
+        self.health.degrade(&first.message);
     }
 }
 
@@ -618,7 +594,10 @@ mod tests {
         registry.counter("w_accepted_total").add(600);
         store.push(Duration::from_secs(20), registry.snapshot());
         let message = rule.check(&store).expect("budget breached");
-        assert!(message.contains("quarantine budget"), "{message}");
+        assert_eq!(
+            message,
+            "w_quarantined_total ratio 0.2250 of offered records exceeds quarantine budget 0.1000"
+        );
 
         // Quarantines with a missing accepted counter still trip: the
         // denominator falls back to the quarantine rate alone.
@@ -651,7 +630,10 @@ mod tests {
         registry.counter("w_ingest_total").add(1_000);
         store.push(Duration::from_secs(20), registry.snapshot());
         let message = rule.check(&store).expect("budget breached");
-        assert!(message.contains("shed budget"), "{message}");
+        assert_eq!(
+            message,
+            "w_shed_total ratio 0.2080 of offered records exceeds shed budget 0.1000"
+        );
 
         // A gateway shedding everything (accepted never grows) still trips.
         let (_r2, drowned) = seeded_store(|r| {
@@ -683,7 +665,10 @@ mod tests {
         registry.counter("w_clean_total").add(750);
         store.push(Duration::from_secs(20), registry.snapshot());
         let message = rule.check(&store).expect("budget breached");
-        assert!(message.contains("drift budget"), "{message}");
+        assert_eq!(
+            message,
+            "w_drifted_total ratio 0.1350 of examined records exceeds drift budget 0.0500"
+        );
 
         // A stream where everything drifts (clean never grows) still trips.
         let (_r2, drowned) = seeded_store(|r| {
@@ -734,8 +719,17 @@ mod tests {
         assert!(violations.iter().all(|v| v.message.contains("shard 1")), "{violations:?}");
         assert_eq!(violations[0].rule, "shard_latency_ceiling");
         assert_eq!(violations[1].rule, "shard_quarantine_budget");
+        // The exact text operators read on /healthz and in the events.
+        assert_eq!(
+            violations[0].message,
+            "shard 1 batch p99 = 33.554432s over 60s window exceeds ceiling 5.000000s"
+        );
+        assert_eq!(
+            violations[1].message,
+            "shard 1 quarantine ratio 0.9000 of offered records exceeds quarantine budget 0.1000"
+        );
         assert!(watchdog.health().is_degraded());
-        assert!(watchdog.health().degraded_reason().unwrap().contains("shard 1"));
+        assert_eq!(watchdog.health().degraded_reason().as_deref(), Some(&*violations[0].message));
     }
 
     #[test]
