@@ -30,9 +30,8 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 
-/// The 16-bit-saturated vendor sentinel the [`FaultKind::Sentinel`]
-/// operator writes: the classic 0xFFFF "no data" encoding.
-pub const SENTINEL_VALUE: f64 = 65_535.0;
+/// The vendor sentinel the [`FaultKind::Sentinel`] operator writes.
+pub use dds_smartsim::smart::SENTINEL_VALUE;
 
 /// Longest history head (in records) the truncate operator removes.
 const MAX_TRUNCATE_RECORDS: u32 = 72;

@@ -17,8 +17,10 @@
 //!   the record is quarantined instead.
 //!
 //! Batch ingest goes through [`sanitize_profiles`] (raw profiles →
-//! clean [`Dataset`] + [`QualityStats`]); streaming ingest holds a
-//! [`FleetSanitizer`] and calls [`FleetSanitizer::admit`] per record.
+//! clean [`Dataset`] + [`QualityStats`]), which holds a [`FleetSanitizer`]
+//! and calls [`FleetSanitizer::admit`] per record; a serving monitor keeps
+//! a [`DriveGate`] in each drive's slot and calls [`DriveGate::admit`].
+//! Both run the same per-drive gate.
 //! The gate only tallies into its [`QualityStats`] and writes no metrics:
 //! the serving path's shard coordinator publishes the quarantine and
 //! imputation counters for the records offered to it, so training,
@@ -28,13 +30,13 @@
 
 use crate::error::AnalysisError;
 use dds_smartsim::dataset::RawProfile;
-use dds_smartsim::{Dataset, DriveId, DriveProfile, HealthRecord, NUM_ATTRIBUTES};
-use std::collections::HashMap;
+use dds_smartsim::{Dataset, DriveId, DriveMap, DriveProfile, HealthRecord, NUM_ATTRIBUTES};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
-/// The 16-bit-saturated "no data" sentinel treated as missing by default.
-pub const SENTINEL_VALUE: f64 = 65_535.0;
+/// The vendor "no data" sentinel, treated as missing by default.
+pub use dds_smartsim::smart::SENTINEL_VALUE;
 
 /// Why a record was quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,17 +159,19 @@ impl QualityPolicy {
     }
 }
 
-/// Per-drive gate state: ordering watermark plus the LOCF baseline.
+/// One drive's quality gate: its ordering watermark plus the LOCF
+/// baseline. [`FleetSanitizer`] keeps one per drive; a serving monitor
+/// keeps one in each drive's slot, beside the drive's escalation state.
 #[derive(Debug, Clone)]
-struct DriveGate {
+pub struct DriveGate {
     last_hour: Option<u32>,
     last_values: [f64; NUM_ATTRIBUTES],
     has_history: bool,
     impute_runs: [usize; NUM_ATTRIBUTES],
 }
 
-impl DriveGate {
-    fn new() -> Self {
+impl Default for DriveGate {
+    fn default() -> Self {
         DriveGate {
             last_hour: None,
             last_values: [0.0; NUM_ATTRIBUTES],
@@ -175,15 +179,41 @@ impl DriveGate {
             impute_runs: [0; NUM_ATTRIBUTES],
         }
     }
+}
+
+impl DriveGate {
+    /// Offers one of `drive`'s records. Returns the record (borrowed when
+    /// it passed unchanged, owned when the gate repaired it), or the
+    /// quarantine reason; `stats` tallies the verdict either way.
+    pub fn admit<'a>(
+        &mut self,
+        policy: &QualityPolicy,
+        stats: &mut QualityStats,
+        drive: DriveId,
+        record: &'a HealthRecord,
+    ) -> Result<Cow<'a, HealthRecord>, DataQualityError> {
+        stats.ingested += 1;
+        match self.sanitize(policy, drive, record) {
+            Ok((clean, imputed)) => {
+                stats.accepted += 1;
+                stats.imputed_attrs += imputed as u64;
+                Ok(clean)
+            }
+            Err(e) => {
+                stats.quarantine_one(&e);
+                Err(e)
+            }
+        }
+    }
 
     /// Validates and repairs one record. All checks run before any state
     /// mutation, so a rejected record leaves the gate unchanged.
-    fn sanitize(
+    fn sanitize<'a>(
         &mut self,
         policy: &QualityPolicy,
         drive: DriveId,
-        record: &HealthRecord,
-    ) -> Result<(HealthRecord, usize), DataQualityError> {
+        record: &'a HealthRecord,
+    ) -> Result<(Cow<'a, HealthRecord>, usize), DataQualityError> {
         if let Some(last) = self.last_hour {
             if record.hour == last {
                 return Err(DataQualityError::DuplicateHour { drive, hour: record.hour });
@@ -196,35 +226,37 @@ impl DriveGate {
                 });
             }
         }
-        let missing: Vec<usize> =
-            (0..NUM_ATTRIBUTES).filter(|&c| policy.is_missing(record.values[c])).collect();
-        if !missing.is_empty() {
-            let unrepairable = !self.has_history
-                || missing.len() > policy.max_missing_per_record
-                || missing
-                    .iter()
-                    .any(|&c| self.impute_runs[c] + 1 > policy.max_consecutive_imputes);
-            if unrepairable {
-                return Err(DataQualityError::Unimputable {
-                    drive,
-                    hour: record.hour,
-                    missing: missing.len(),
-                });
+        let mut missing = 0;
+        let mut past_cap = false;
+        for (&value, &run) in record.values.iter().zip(&self.impute_runs) {
+            if policy.is_missing(value) {
+                missing += 1;
+                past_cap |= run + 1 > policy.max_consecutive_imputes;
             }
         }
-        let mut clean = record.clone();
-        for c in 0..NUM_ATTRIBUTES {
-            if policy.is_missing(clean.values[c]) {
-                clean.values[c] = self.last_values[c];
-                self.impute_runs[c] += 1;
-            } else {
-                self.impute_runs[c] = 0;
-            }
+        if missing > 0 && (!self.has_history || missing > policy.max_missing_per_record || past_cap)
+        {
+            return Err(DataQualityError::Unimputable { drive, hour: record.hour, missing });
         }
+        let clean = if missing == 0 {
+            self.impute_runs = [0; NUM_ATTRIBUTES];
+            Cow::Borrowed(record)
+        } else {
+            let mut clean = record.clone();
+            for c in 0..NUM_ATTRIBUTES {
+                if policy.is_missing(clean.values[c]) {
+                    clean.values[c] = self.last_values[c];
+                    self.impute_runs[c] += 1;
+                } else {
+                    self.impute_runs[c] = 0;
+                }
+            }
+            Cow::Owned(clean)
+        };
         self.last_hour = Some(clean.hour);
         self.last_values = clean.values;
         self.has_history = true;
-        Ok((clean, missing.len()))
+        Ok((clean, missing))
     }
 }
 
@@ -247,8 +279,8 @@ pub struct QualityStats {
 
 impl QualityStats {
     /// Folds another sanitizer's tallies into this one — the cross-shard
-    /// aggregation used by sharded serving, where every shard owns its
-    /// own [`FleetSanitizer`] but operators read one fleet-wide summary.
+    /// aggregation used by sharded serving, where every shard runs its
+    /// own quality gate but operators read one fleet-wide summary.
     ///
     /// ```
     /// use dds_core::quality::QualityStats;
@@ -268,6 +300,11 @@ impl QualityStats {
         for (mine, theirs) in self.by_reason.iter_mut().zip(&other.by_reason) {
             *mine += theirs;
         }
+    }
+
+    fn quarantine_one(&mut self, error: &DataQualityError) {
+        self.quarantined += 1;
+        self.by_reason[error.reason_index()] += 1;
     }
 }
 
@@ -303,14 +340,14 @@ impl fmt::Display for QualityStats {
 #[derive(Debug, Clone)]
 pub struct FleetSanitizer {
     policy: QualityPolicy,
-    drives: HashMap<DriveId, DriveGate>,
+    drives: DriveMap<DriveGate>,
     stats: QualityStats,
 }
 
 impl FleetSanitizer {
     /// Creates a gate with the given policy.
     pub fn new(policy: QualityPolicy) -> Self {
-        FleetSanitizer { policy, drives: HashMap::new(), stats: QualityStats::default() }
+        FleetSanitizer { policy, drives: DriveMap::default(), stats: QualityStats::default() }
     }
 
     /// The active policy.
@@ -332,19 +369,8 @@ impl FleetSanitizer {
         drive: DriveId,
         record: &HealthRecord,
     ) -> Result<HealthRecord, DataQualityError> {
-        self.stats.ingested += 1;
-        let gate = self.drives.entry(drive).or_insert_with(DriveGate::new);
-        match gate.sanitize(&self.policy, drive, record) {
-            Ok((clean, imputed)) => {
-                self.stats.accepted += 1;
-                self.stats.imputed_attrs += imputed as u64;
-                Ok(clean)
-            }
-            Err(e) => {
-                self.quarantine_one(&e);
-                Err(e)
-            }
-        }
+        let gate = self.drives.entry(drive).or_default();
+        gate.admit(&self.policy, &mut self.stats, drive, record).map(Cow::into_owned)
     }
 
     /// Starts a fresh ingest session: per-drive ordering and imputation
@@ -361,14 +387,9 @@ impl FleetSanitizer {
         self.stats.accepted -= kept as u64;
         self.stats.drives_dropped += 1;
         for _ in 0..kept {
-            self.quarantine_one(&error);
+            self.stats.quarantine_one(&error);
         }
         self.drives.remove(&drive);
-    }
-
-    fn quarantine_one(&mut self, error: &DataQualityError) {
-        self.stats.quarantined += 1;
-        self.stats.by_reason[error.reason_index()] += 1;
     }
 }
 

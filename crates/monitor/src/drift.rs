@@ -31,11 +31,10 @@
 //! than rewinding anything already published.
 
 use crate::bundle::ModelBundle;
-use dds_core::quality::SENTINEL_VALUE;
 use dds_obs::metrics::Registry;
-use dds_smartsim::{DriveId, HealthRecord, NUM_ATTRIBUTES};
+use dds_smartsim::smart::SENTINEL_VALUE;
+use dds_smartsim::{DriveId, DriveMap, HealthRecord, NUM_ATTRIBUTES};
 use dds_stats::MinMaxScaler;
-use std::collections::HashMap;
 
 /// How far outside the training normalization band `[-1, 1]` a value may
 /// extrapolate before it counts as range drift. Live fleets legitimately
@@ -103,7 +102,7 @@ impl DriftBaseline {
 pub struct DriftDetector {
     baseline: DriftBaseline,
     /// Last hour seen per drive, for the ordering channel.
-    last_hour: HashMap<DriveId, u32>,
+    last_hour: DriveMap<u32>,
     /// Records observed since the last baseline swap.
     examined: u64,
     /// Records flagged on any channel since the last swap (union, each
@@ -136,7 +135,7 @@ impl DriftDetector {
     pub fn new(baseline: DriftBaseline) -> Self {
         DriftDetector {
             baseline,
-            last_hour: HashMap::new(),
+            last_hour: DriveMap::default(),
             examined: 0,
             drifted: 0,
             disordered: 0,

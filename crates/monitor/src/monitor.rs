@@ -1,21 +1,24 @@
 //! The streaming fleet monitor.
 //!
-//! [`FleetMonitor`] runs each record through two stages: the quality
-//! gate ([`FleetMonitor::sanitize`]) and scoring
-//! ([`FleetMonitor::ingest_sanitized`]). Shard workers run the gate once
-//! per record and feed the admitted records to the serving monitor and,
-//! while a refit candidate soaks, to the candidate's monitor. The
-//! monitor keeps its latched-drive counts in step with every latch, so
-//! [`FleetMonitor::health_status`] costs O(1) however many drives it
-//! tracks.
+//! [`FleetMonitor`] runs each record through two stages, the quality
+//! gate and scoring; [`FleetMonitor::try_ingest`] is their composition.
+//! Shard workers run the gate over a batch, then score the admitted
+//! records with the serving monitor and, while a refit candidate soaks,
+//! with the candidate's monitor ([`FleetMonitor::ingest_sanitized`]).
+//! The monitor keeps one slot per drive, holding both the drive's gate
+//! and its escalation state, so a shard finds a record's drive with one
+//! hash lookup: the gate stage returns the slot and the scoring stage
+//! reuses it. The monitor keeps its latched-drive counts in step with
+//! every latch, so [`FleetMonitor::health_status`] costs O(1) however
+//! many drives it tracks.
 
 use crate::alert::{Alert, AlertKind, Severity};
 use crate::bundle::{ModelBundle, BASELINE_ATTRIBUTES};
 use dds_core::predict::ThresholdPolicy;
-use dds_core::quality::{DataQualityError, FleetSanitizer, QualityPolicy, QualityStats};
-use dds_smartsim::{DriveId, HealthRecord};
+use dds_core::quality::{DataQualityError, DriveGate, QualityPolicy, QualityStats};
+use dds_smartsim::{DriveId, DriveMap, HealthRecord};
 use dds_stats::streaming::RunningMoments;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Configuration of the escalation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +103,15 @@ struct DriveState {
     tc_moments: RunningMoments,
 }
 
+/// Everything a monitor keeps for one drive. `state` stays `None` until
+/// the drive's first scored record, so a drive whose every record was
+/// quarantined is not tracked.
+#[derive(Debug, Clone, Default)]
+struct DriveSlot {
+    gate: DriveGate,
+    state: Option<DriveState>,
+}
+
 /// A streaming monitor over a fleet of drives.
 ///
 /// Feed hourly records in any drive interleaving; state is kept per drive.
@@ -115,8 +127,17 @@ struct DriveState {
 pub struct FleetMonitor {
     bundle: ModelBundle,
     config: MonitorConfig,
-    drives: HashMap<DriveId, DriveState>,
-    sanitizer: FleetSanitizer,
+    /// Each drive's index into `slots`.
+    index: DriveMap<u32>,
+    /// One slot per drive, in first-seen order.
+    slots: Vec<DriveSlot>,
+    /// Slots holding escalation state.
+    tracked: usize,
+    /// Cumulative quality-gate tallies.
+    stats: QualityStats,
+    /// Regression-tree predictions made so far: one per group model for
+    /// every scored record.
+    predictions: u64,
     alerts_emitted: u64,
     /// Drives latched at (watch, warning, critical), kept in step with
     /// every `DriveState::latched` change. Drives are never removed, so
@@ -159,12 +180,14 @@ impl HealthStatus {
 impl FleetMonitor {
     /// Creates a monitor from a deployable bundle.
     pub fn new(bundle: ModelBundle, config: MonitorConfig) -> Self {
-        let sanitizer = FleetSanitizer::new(config.quality);
         FleetMonitor {
             bundle,
             config,
-            drives: HashMap::new(),
-            sanitizer,
+            index: DriveMap::default(),
+            slots: Vec::new(),
+            tracked: 0,
+            stats: QualityStats::default(),
+            predictions: 0,
             alerts_emitted: 0,
             latched: [0; 3],
         }
@@ -172,18 +195,19 @@ impl FleetMonitor {
 
     /// Number of drives with monitoring state.
     pub fn drives_tracked(&self) -> usize {
-        self.drives.len()
+        self.tracked
     }
 
     /// The highest severity already alerted for a drive.
     pub fn latched_severity(&self, drive: DriveId) -> Option<Severity> {
-        self.drives.get(&drive).and_then(|s| s.latched)
+        let slot = *self.index.get(&drive)?;
+        self.slots[slot as usize].state.as_ref().and_then(|s| s.latched)
     }
 
     /// The current serving-state summary, in constant time.
     pub fn health_status(&self) -> HealthStatus {
         HealthStatus {
-            drives_tracked: self.drives.len(),
+            drives_tracked: self.tracked,
             latched: self.latched,
             alerts_emitted: self.alerts_emitted,
         }
@@ -240,40 +264,70 @@ impl FleetMonitor {
         drive: DriveId,
         record: &HealthRecord,
     ) -> Result<Vec<Alert>, DataQualityError> {
-        let cleaned = self.sanitize(drive, record)?;
-        Ok(self.ingest_sanitized(drive, &cleaned))
+        let (slot, cleaned) = self.sanitize_slot(drive, record)?;
+        Ok(self.ingest_slot(slot, drive, &cleaned))
     }
 
     /// The quality-gate stage of [`FleetMonitor::try_ingest`] on its own:
     /// admits (possibly repairing) one record or quarantines it with a
-    /// typed rejection, without touching any scoring state. The sharded
-    /// serving path runs this over a whole batch, then
-    /// [`FleetMonitor::ingest_sanitized`] over the records that passed;
-    /// `try_ingest` is exactly their composition, record by record.
-    pub fn sanitize(
+    /// typed rejection, without touching any scoring state. Returns the
+    /// drive's slot for [`FleetMonitor::ingest_slot`] and the record,
+    /// borrowed when it passed unchanged and owned when the gate repaired
+    /// it. The sharded serving path runs this over a whole batch, then
+    /// `ingest_slot` over the records that passed; `try_ingest` is exactly
+    /// their composition, record by record.
+    pub(crate) fn sanitize_slot<'a>(
         &mut self,
         drive: DriveId,
-        record: &HealthRecord,
-    ) -> Result<HealthRecord, DataQualityError> {
-        self.sanitizer.admit(drive, record)
+        record: &'a HealthRecord,
+    ) -> Result<(u32, Cow<'a, HealthRecord>), DataQualityError> {
+        let slot = self.slot(drive);
+        let gate = &mut self.slots[slot as usize].gate;
+        let cleaned = gate.admit(&self.config.quality, &mut self.stats, drive, record)?;
+        Ok((slot, cleaned))
+    }
+
+    /// The drive's slot index, adding an empty slot for a new drive.
+    fn slot(&mut self, drive: DriveId) -> u32 {
+        let slots = &mut self.slots;
+        *self.index.entry(drive).or_insert_with(|| {
+            slots.push(DriveSlot::default());
+            u32::try_from(slots.len() - 1).expect("fewer than 2^32 drives")
+        })
     }
 
     /// The scoring stage of [`FleetMonitor::try_ingest`]: ingests a
-    /// record that already passed [`FleetMonitor::sanitize`]. Feeding a
+    /// record that already passed a quality gate. Feeding a
     /// record that skipped the gate corrupts the quality accounting the
     /// watchdog budgets are built on — always pair the two stages. The
     /// gate may be another monitor's: a shard's refit candidate scores
     /// the records the serving monitor's gate admitted.
     pub fn ingest_sanitized(&mut self, drive: DriveId, record: &HealthRecord) -> Vec<Alert> {
+        let slot = self.slot(drive);
+        self.ingest_slot(slot, drive, record)
+    }
+
+    /// [`FleetMonitor::ingest_sanitized`] for a drive whose slot
+    /// [`FleetMonitor::sanitize_slot`] returned.
+    pub(crate) fn ingest_slot(
+        &mut self,
+        slot: u32,
+        drive: DriveId,
+        record: &HealthRecord,
+    ) -> Vec<Alert> {
         let _span = dds_obs::span!(dds_obs::Level::Trace, "monitor.ingest", hour = record.hour);
-        let alerts = self.ingest_inner(drive, record);
+        let alerts = self.ingest_inner(slot, drive, record);
         self.alerts_emitted += alerts.len() as u64;
         alerts
     }
 
-    fn ingest_inner(&mut self, drive: DriveId, record: &HealthRecord) -> Vec<Alert> {
+    fn ingest_inner(&mut self, slot: u32, drive: DriveId, record: &HealthRecord) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        let state = self.drives.entry(drive).or_default();
+        let state = &mut self.slots[slot as usize].state;
+        if state.is_none() {
+            self.tracked += 1;
+        }
+        let state = state.get_or_insert_with(DriveState::default);
 
         // --- unit-to-unit baseline correction -----------------------------
         let mut corrected = record.clone();
@@ -352,6 +406,7 @@ impl FleetMonitor {
         }
 
         // --- degradation predictor ---------------------------------------
+        self.predictions += self.bundle.groups().len() as u64;
         let Some((group_idx, degradation)) = self.bundle.worst_prediction(&normalized) else {
             return alerts;
         };
@@ -450,7 +505,14 @@ impl FleetMonitor {
     /// Cumulative data-quality tallies for everything offered to
     /// [`FleetMonitor::ingest`] / [`FleetMonitor::try_ingest`].
     pub fn quality_stats(&self) -> &QualityStats {
-        self.sanitizer.stats()
+        &self.stats
+    }
+
+    /// Regression-tree predictions this monitor has made: one per group
+    /// model for every scored record. The shard coordinator publishes
+    /// them as `dds_regtree_predictions_total`.
+    pub(crate) fn tree_predictions(&self) -> u64 {
+        self.predictions
     }
 
     /// Resets the quality gate's per-drive ordering history (imputation
@@ -460,7 +522,9 @@ impl FleetMonitor {
     /// zero — otherwise every record of the new epoch would look
     /// out-of-order against the previous epoch's final hours.
     pub fn new_ingest_session(&mut self) {
-        self.sanitizer.new_session();
+        for slot in &mut self.slots {
+            slot.gate = DriveGate::default();
+        }
     }
 
     /// Atomically replaces the deployed model bundle — the hot-swap half
@@ -668,6 +732,13 @@ mod tests {
         monitor.replay(drive.id(), drive.records());
         assert_eq!(monitor.drives_tracked(), 1);
         assert!(monitor.latched_severity(drive.id()).is_some());
+        // A drive whose every record was quarantined is not tracked.
+        let mut unreadable = drive.records()[0].clone();
+        unreadable.values = [f64::NAN; dds_smartsim::NUM_ATTRIBUTES];
+        let unseen = DriveId(u32::MAX);
+        assert!(monitor.try_ingest(unseen, &unreadable).is_err());
+        assert_eq!(monitor.drives_tracked(), 1);
+        assert_eq!(monitor.latched_severity(unseen), None);
 
         // The O(1) latched counts agree with a scan over every drive,
         // also after replays that escalate a latched drive again.

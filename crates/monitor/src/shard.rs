@@ -1,28 +1,33 @@
 //! Sharded serving: hash-partition a fleet across N independent
 //! [`FleetMonitor`] workers behind one deterministic coordinator.
 //!
-//! A single monitor serializes every record through one escalation map —
-//! fine for the paper's 23 k drives, a bottleneck at the ROADMAP's
-//! millions. [`ShardedFleetMonitor`] splits the fleet by drive id
-//! ([`shard_for`], FNV-1a) onto per-shard worker threads, each owning a
-//! full `FleetMonitor` (models, sanitizer, escalation state). Because a
-//! drive's entire history lands on exactly one shard, per-drive semantics
-//! (debounce, hysteresis, quality watermarks) are untouched, and the
-//! coordinator's merge — a stable sort by `(hour, drive)` — reproduces
-//! the single-monitor alert stream byte for byte at any shard count.
+//! A single monitor serializes every record through one thread — fine
+//! for the paper's 23 k drives, a bottleneck at the ROADMAP's millions.
+//! [`ShardedFleetMonitor`] splits the fleet by drive id ([`shard_for`],
+//! FNV-1a) onto per-shard worker threads, each owning a full
+//! `FleetMonitor` (models, and one slot per drive holding its quality
+//! gate and escalation state). The coordinator copies each batch once
+//! and shares it with every worker, which takes the records of its own
+//! drives. Because a drive's entire history lands on exactly one shard,
+//! per-drive semantics (debounce, hysteresis, quality watermarks) are
+//! untouched, and the coordinator's merge — a stable sort by
+//! `(hour, drive)` — reproduces the single-monitor alert stream byte for
+//! byte at any shard count.
 //!
 //! One reply per shard batch is the only way results leave a worker. It
 //! carries the shard's alerts, quality tallies, stage clocks, serving
-//! wall time, gauge state and, while a refit candidate soaks, the
-//! candidate's [`ShadowTally`]. From those replies the coordinator
+//! wall time, gauge state, tree predictions and, while a refit candidate
+//! soaks, the candidate's [`ShadowTally`]; a shard that owns none of the
+//! batch replies with nothing. From those replies the coordinator
 //!
-//! * publishes every serving metric: shard workers write nothing
-//!   process-global except one `dds_monitor_ingest_seconds` observation
-//!   per scored record, and the coordinator adds the ingest, alert,
-//!   quarantine, imputation and `dds_shadow_*` counters once per merged
-//!   batch, next to the fleet-wide drive gauges. A [`FleetMonitor`]
-//!   scoring outside a coordinator (a test) therefore counts into
-//!   nothing;
+//! * publishes every serving metric: a worker writes nothing
+//!   process-global per record. It tallies its records' scoring times
+//!   locally and adds them to `dds_monitor_ingest_seconds` once per
+//!   batch, and the coordinator adds the ingest, alert, quarantine,
+//!   imputation, `dds_regtree_predictions_total` and `dds_shadow_*`
+//!   counters once per merged batch, next to the fleet-wide drive
+//!   gauges. A [`FleetMonitor`] scoring outside a coordinator (a test)
+//!   therefore counts into nothing;
 //! * keeps one [`ShardStatus`] per shard, so reading shard state
 //!   ([`ShardedFleetMonitor::shard_statuses`], `health_status`,
 //!   `quality_stats`, `statuses_json`) sends no message to the workers.
@@ -50,6 +55,7 @@ use dds_core::quality::{QualityStats, QUARANTINE_REASONS};
 use dds_obs::journal::{BatchSpan, FlightRecorder, ShardSpan};
 use dds_obs::metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 use dds_smartsim::{DriveId, HealthRecord};
+use std::borrow::Cow;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -96,7 +102,8 @@ pub fn shard_for(drive: DriveId, shards: usize) -> usize {
 /// tallies it added, the two stage clocks the flight recorder assembles
 /// into a [`BatchSpan`], the batch's serving wall time (gate and
 /// serving model; candidate scoring excluded), the shard's gauge state
-/// after it, and the soaking candidate's tallies when one is attached.
+/// after it, the regression-tree predictions it made (serving model and
+/// candidate), and the soaking candidate's tallies when one is attached.
 struct ShardBatch {
     alerts: Vec<Alert>,
     quality: QualityStats,
@@ -105,6 +112,7 @@ struct ShardBatch {
     seconds: f64,
     drives_tracked: usize,
     latched: [usize; 3],
+    predictions: u64,
     shadow: Option<ShadowTally>,
 }
 
@@ -197,9 +205,11 @@ impl ShardStatus {
 /// Bundles are boxed: they carry whole regression trees and would
 /// otherwise dominate the job enum's size for every queued batch.
 enum Job {
+    /// The whole batch, shared by every shard; each takes its own drives
+    /// and replies `None` when it owns none of them.
     Batch {
-        records: Vec<(DriveId, HealthRecord)>,
-        reply: SyncSender<(usize, ShardBatch)>,
+        records: Arc<[(DriveId, HealthRecord)]>,
+        reply: SyncSender<(usize, Option<ShardBatch>)>,
     },
     NewSession {
         reply: SyncSender<()>,
@@ -223,6 +233,7 @@ struct Worker {
 
 fn worker_loop(
     shard: usize,
+    shards: usize,
     mut monitor: FleetMonitor,
     config: MonitorConfig,
     record_seconds: Arc<Histogram>,
@@ -231,31 +242,66 @@ fn worker_loop(
     // The soaking refit candidate: its own escalation state, fed only
     // records the serving gate admitted.
     let mut candidate: Option<FleetMonitor> = None;
+    // This shard's admitted records of the current batch: the drive's
+    // slot, the record's position in the shared batch and, when the gate
+    // repaired the record, its index in `repaired`. Both are reused
+    // across batches.
+    let mut admitted: Vec<(u32, usize, Option<usize>)> = Vec::new();
+    let mut repaired: Vec<HealthRecord> = Vec::new();
     while let Ok(job) = jobs.recv() {
         match job {
-            Job::Batch { mut records, reply } => {
+            Job::Batch { records, reply } => {
                 let started = Instant::now();
                 let before = *monitor.quality_stats();
-                // The quality gate over the whole batch: repair records in
-                // place, drop the quarantined ones. Gate and scoring state
-                // are disjoint, so this equals `try_ingest` record by record.
-                records.retain_mut(|(drive, record)| match monitor.sanitize(*drive, record) {
-                    Ok(cleaned) => {
-                        *record = cleaned;
-                        true
+                // The quality gate over this shard's records. Gate and
+                // scoring state are disjoint, so this equals `try_ingest`
+                // record by record.
+                admitted.clear();
+                repaired.clear();
+                for (position, (drive, record)) in records.iter().enumerate() {
+                    if shard_for(*drive, shards) != shard {
+                        continue;
                     }
-                    Err(_) => false,
-                });
-                let sanitize_seconds = started.elapsed().as_secs_f64();
-                let mut alerts = Vec::new();
-                let mut ingest_seconds = 0.0;
-                for (drive, record) in &records {
-                    let score = Instant::now();
-                    alerts.append(&mut monitor.ingest_sanitized(*drive, record));
-                    let seconds = score.elapsed().as_secs_f64();
-                    record_seconds.observe(seconds);
-                    ingest_seconds += seconds;
+                    if let Ok((slot, cleaned)) = monitor.sanitize_slot(*drive, record) {
+                        let fixed = match cleaned {
+                            Cow::Borrowed(_) => None,
+                            Cow::Owned(record) => {
+                                repaired.push(record);
+                                Some(repaired.len() - 1)
+                            }
+                        };
+                        admitted.push((slot, position, fixed));
+                    }
                 }
+                let quality = quality_delta(monitor.quality_stats(), &before);
+                if quality.ingested == 0 {
+                    let _ = reply.send((shard, None));
+                    continue;
+                }
+                // The admitted records, as the gate passed them.
+                let passed = || {
+                    admitted.iter().map(|&(slot, position, fixed)| {
+                        let (drive, record) = &records[position];
+                        (slot, *drive, fixed.map_or(record, |i| &repaired[i]))
+                    })
+                };
+                // One clock read per scored record: each record's time
+                // runs from the end of the one before it. The times go
+                // into a local histogram, published once per batch.
+                let scoring = Instant::now();
+                let predicted = monitor.tree_predictions();
+                let mut alerts = Vec::new();
+                let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+                let mut last = scoring;
+                for (slot, drive, record) in passed() {
+                    alerts.append(&mut monitor.ingest_slot(slot, drive, record));
+                    let now = Instant::now();
+                    buckets[Histogram::bucket_index((now - last).as_secs_f64())] += 1;
+                    last = now;
+                }
+                let ingest_seconds = (last - scoring).as_secs_f64();
+                record_seconds.observe_buckets(&buckets, ingest_seconds);
+                let mut predictions = monitor.tree_predictions() - predicted;
                 // The shard's batch time (`/shards`, the per-shard SLO)
                 // measures serving work only, so it stops before the
                 // candidate pass.
@@ -263,25 +309,27 @@ fn worker_loop(
                 // The candidate shares the serving gate: it scores exactly
                 // the records admitted above, as the gate repaired them.
                 let shadow = candidate.as_mut().map(|candidate| {
-                    let candidate_alerts: Vec<Alert> = records
-                        .iter()
-                        .flat_map(|(drive, record)| candidate.ingest_sanitized(*drive, record))
+                    let predicted = candidate.tree_predictions();
+                    let candidate_alerts: Vec<Alert> = passed()
+                        .flat_map(|(_, drive, record)| candidate.ingest_sanitized(drive, record))
                         .collect();
+                    predictions += candidate.tree_predictions() - predicted;
                     ShadowTally::of_batch(&alerts, &candidate_alerts)
                 });
                 let status = monitor.health_status();
                 let _ = reply.send((
                     shard,
-                    ShardBatch {
+                    Some(ShardBatch {
                         alerts,
-                        quality: quality_delta(monitor.quality_stats(), &before),
-                        sanitize_seconds,
+                        quality,
+                        sanitize_seconds: (scoring - started).as_secs_f64(),
                         ingest_seconds,
                         seconds,
                         drives_tracked: status.drives_tracked,
                         latched: status.latched,
+                        predictions,
                         shadow,
-                    },
+                    }),
                 ));
             }
             Job::NewSession { reply } => {
@@ -305,8 +353,10 @@ fn worker_loop(
 struct CoordinatorMetrics {
     shards: Arc<Gauge>,
     batch_seconds: Arc<Histogram>,
-    /// Per-record scoring time, observed by the shard workers.
+    /// Per-record scoring time, added by the shard workers once per batch.
     record_seconds: Arc<Histogram>,
+    /// `dds_regtree_predictions_total`: the shards' tree predictions.
+    predictions: Arc<Counter>,
     records: Arc<Counter>,
     alerts: Arc<Counter>,
     /// Indexed by `AlertKind as usize`.
@@ -330,6 +380,7 @@ impl CoordinatorMetrics {
             shards: registry.gauge("dds_ingest_shards"),
             batch_seconds: registry.histogram("dds_ingest_batch_seconds"),
             record_seconds: registry.histogram("dds_monitor_ingest_seconds"),
+            predictions: registry.counter("dds_regtree_predictions_total"),
             records: registry.counter("dds_monitor_records_ingested_total"),
             alerts: registry.counter("dds_monitor_alerts_total"),
             alerts_by_kind: [
@@ -406,7 +457,9 @@ impl ShardedFleetMonitor {
                 let record_seconds = Arc::clone(&metrics.record_seconds);
                 let handle = thread::Builder::new()
                     .name(format!("dds-shard-{shard}"))
-                    .spawn(move || worker_loop(shard, monitor, config, record_seconds, receiver))
+                    .spawn(move || {
+                        worker_loop(shard, shards, monitor, config, record_seconds, receiver)
+                    })
                     .expect("spawn shard worker");
                 Worker { sender: Some(sender), handle: Some(handle) }
             })
@@ -490,34 +543,30 @@ impl ShardedFleetMonitor {
     ) -> Vec<Alert> {
         let started = Instant::now();
         let shards = self.workers.len();
-        let mut buckets: Vec<Vec<(DriveId, HealthRecord)>> = vec![Vec::new(); shards];
-        if shards == 1 {
-            buckets[0] = records.to_vec();
-        } else {
-            for (drive, record) in records {
-                buckets[shard_for(*drive, shards)].push((*drive, record.clone()));
-            }
-        }
-
+        // One copy of the batch, shared by every shard: each worker takes
+        // the records of the drives `shard_for` routes to it.
         let (reply, replies) = mpsc::sync_channel(shards);
-        let mut outstanding = 0usize;
-        for (shard, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
+        let outstanding = if records.is_empty() { 0 } else { shards };
+        if outstanding > 0 {
+            let batch: Arc<[(DriveId, HealthRecord)]> = Arc::from(records);
+            for shard in 0..shards {
+                self.send(shard, Job::Batch { records: Arc::clone(&batch), reply: reply.clone() });
             }
-            self.send(shard, Job::Batch { records: bucket, reply: reply.clone() });
-            outstanding += 1;
         }
         drop(reply);
 
         let mut alerts = Vec::new();
         let mut quality = QualityStats::default();
+        let mut predictions = 0;
         let mut shadow = ShadowTally::default();
         let mut shard_spans: Vec<ShardSpan> = Vec::new();
         for _ in 0..outstanding {
             let (shard, batch) = replies.recv().expect("shard worker alive");
+            // A shard that owned none of the batch has nothing to absorb.
+            let Some(batch) = batch else { continue };
             self.statuses[shard].absorb(&batch);
             quality.merge(&batch.quality);
+            predictions += batch.predictions;
             if let Some(tally) = &batch.shadow {
                 shadow.add(tally);
             }
@@ -543,7 +592,7 @@ impl ShardedFleetMonitor {
                 history.record(alert);
             }
         }
-        self.publish(&quality, &alerts);
+        self.publish(&quality, &alerts, predictions);
         if !records.is_empty() {
             self.publish_shadow(shadow);
         }
@@ -570,8 +619,9 @@ impl ShardedFleetMonitor {
 
     /// Adds one merged batch to the serving counters and refreshes the
     /// fleet-wide gauges from the last-known shard state.
-    fn publish(&self, quality: &QualityStats, alerts: &[Alert]) {
+    fn publish(&self, quality: &QualityStats, alerts: &[Alert], predictions: u64) {
         let metrics = &self.metrics;
+        metrics.predictions.add(predictions);
         metrics.records.add(quality.accepted);
         metrics.quarantined.add(quality.quarantined);
         for (counter, &n) in metrics.quarantined_by_reason.iter().zip(&quality.by_reason) {

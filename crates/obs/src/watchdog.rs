@@ -406,10 +406,11 @@ impl Watchdog {
                 rule.check(store).map(|message| Violation { rule: rule.name(), message })
             })
             .collect();
-        if violations.is_empty() {
-            self.health.clear_degraded();
-        }
         self.report(&violations, "watchdog.slo_violation");
+        match violations.first() {
+            Some(first) => self.health.degrade(&first.message),
+            None => self.health.clear_degraded(),
+        }
         violations
     }
 
@@ -420,10 +421,12 @@ impl Watchdog {
     /// histogram and [`SloRule::QuarantineBudget`] over its
     /// [`SHARD_QUARANTINE`] and [`SHARD_ACCEPTED`] counters, checked
     /// shard by shard in that order. Degrade-only: a clean pass here
-    /// never *clears* the health state, so call [`Watchdog::evaluate`]
-    /// first each tick (it clears on a clean fleet pass) and this
-    /// afterwards. Shards with too few samples to span a window pass
-    /// vacuously.
+    /// never *clears* the health state, and a violation here degrades it
+    /// only while it is clean, so a fleet violation stays the `/healthz`
+    /// reason. Call [`Watchdog::evaluate`] first each tick (it clears on
+    /// a clean fleet pass) and this afterwards; every shard violation is
+    /// still counted and logged. Shards with too few samples to span a
+    /// window pass vacuously.
     pub fn evaluate_shards(&self, series: &ShardSeriesStore, slo: &ShardSlo) -> Vec<Violation> {
         let rules = [
             (
@@ -457,14 +460,20 @@ impl Watchdog {
             }
         }
         self.report(&violations, "watchdog.shard_slo_violation");
+        if let Some(first) = violations.first() {
+            if !self.health.is_degraded() {
+                self.health.degrade(&first.message);
+            }
+        }
         violations
     }
 
-    /// Counts each violation in `dds_watchdog_violations_total`, fires
-    /// one `Warn` event named `event` per violation, and degrades the
-    /// health state with the first one's message.
+    /// Counts each violation in `dds_watchdog_violations_total` and fires
+    /// one `Warn` event named `event` per violation.
     fn report(&self, violations: &[Violation], event: &'static str) {
-        let Some(first) = violations.first() else { return };
+        if violations.is_empty() {
+            return;
+        }
         let counter = crate::metrics::global().counter("dds_watchdog_violations_total");
         for violation in violations {
             counter.inc();
@@ -475,7 +484,6 @@ impl Watchdog {
                 detail = violation.message.clone(),
             );
         }
-        self.health.degrade(&first.message);
     }
 }
 
@@ -730,6 +738,39 @@ mod tests {
         );
         assert!(watchdog.health().is_degraded());
         assert_eq!(watchdog.health().degraded_reason().as_deref(), Some(&*violations[0].message));
+    }
+
+    #[test]
+    fn shard_evaluation_keeps_the_fleet_reason() {
+        use crate::metrics::Histogram;
+        use crate::timeseries::{ShardSample, ShardSeriesStore};
+
+        // The fleet pass trips a quarantine budget...
+        let watchdog = Watchdog::new(vec![SloRule::QuarantineBudget {
+            quarantined: "w_quarantined_total".into(),
+            accepted: "w_accepted_total".into(),
+            max_ratio: 0.10,
+            window: Duration::from_secs(60),
+        }]);
+        let (_registry, store) = seeded_store(|r| {
+            r.counter("w_accepted_total").add(500);
+            r.counter("w_quarantined_total").add(500);
+        });
+        let fleet = watchdog.evaluate(&store);
+        assert_eq!(fleet.len(), 1, "{fleet:?}");
+        // ...and the shard pass of the same tick finds a wedged shard.
+        let series = ShardSeriesStore::new(2, 8);
+        for shard in 0..2 {
+            series.push(shard, Duration::from_secs(0), ShardSample::default());
+        }
+        let mut wedged = ShardSample { accepted: 1_000, batches: 4, ..ShardSample::default() };
+        wedged.batch_buckets[Histogram::bucket_index(20.0)] = 4;
+        series.push(1, Duration::from_secs(10), wedged);
+        let shards = watchdog.evaluate_shards(&series, &ShardSlo::standard());
+        assert_eq!(shards.len(), 1, "{shards:?}");
+        assert!(shards[0].message.starts_with("shard 1 batch p99"), "{shards:?}");
+        // The first violation of the tick, the fleet's, stays the reason.
+        assert_eq!(watchdog.health().degraded_reason().as_deref(), Some(&*fleet[0].message));
     }
 
     #[test]

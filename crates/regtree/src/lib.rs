@@ -47,9 +47,11 @@ const PAR_PARTITION_MIN_CELLS: usize = 1 << 16;
 /// Minimum batch size before predictions fan out to threads.
 const PAR_PREDICT_MIN_ROWS: usize = 2_048;
 
-/// Cached handle to the prediction counter: [`RegressionTree::predict`] is
-/// hot (every row of every batch), so the registry lookup happens once per
-/// process and each prediction pays one relaxed atomic add.
+/// Cached handle to `dds_regtree_predictions_total`, which the batch
+/// predictors add to once per call. [`RegressionTree::predict`] writes
+/// nothing global: it runs once per tree for every record a serving shard
+/// scores, and the shard coordinator adds those predictions once per
+/// merged batch.
 fn predictions_counter() -> &'static std::sync::Arc<dds_obs::metrics::Counter> {
     static COUNTER: std::sync::OnceLock<std::sync::Arc<dds_obs::metrics::Counter>> =
         std::sync::OnceLock::new();
@@ -623,14 +625,14 @@ impl RegressionTree {
         best
     }
 
-    /// Predicts the target for one feature row.
+    /// Predicts the target for one feature row. Counts into no metric; see
+    /// [`predict_batch`](Self::predict_batch).
     ///
     /// # Panics
     ///
     /// Panics if the row has the wrong number of features.
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.num_features, "feature count mismatch");
-        predictions_counter().inc();
         let mut id = 0usize;
         loop {
             match &self.nodes[id] {
@@ -644,10 +646,12 @@ impl RegressionTree {
 
     /// Predicts a batch of rows. Large batches fan out across threads
     /// (per the [`Parallelism`] the tree was fitted with); output order
-    /// always matches input order.
+    /// always matches input order. Adds `rows.len()` to
+    /// `dds_regtree_predictions_total`.
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         let _span =
             dds_obs::span!(dds_obs::Level::Debug, "regtree.predict_batch", rows = rows.len());
+        predictions_counter().add(rows.len() as u64);
         par_map_indexed(self.batch_parallelism(rows.len()), rows, |_, r| self.predict(r))
     }
 
@@ -657,6 +661,7 @@ impl RegressionTree {
     pub fn predict_batch_ref(&self, rows: &[&[f64]]) -> Vec<f64> {
         let _span =
             dds_obs::span!(dds_obs::Level::Debug, "regtree.predict_batch", rows = rows.len());
+        predictions_counter().add(rows.len() as u64);
         par_map_indexed(self.batch_parallelism(rows.len()), rows, |_, r| self.predict(r))
     }
 

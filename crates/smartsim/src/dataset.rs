@@ -10,7 +10,9 @@ use crate::attr::{Attribute, NUM_ATTRIBUTES};
 use crate::failure::FailureMode;
 use crate::topology::RackId;
 use dds_stats::{MinMaxScaler, StatsError};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// Identifier of a drive within a dataset (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,6 +22,85 @@ impl fmt::Display for DriveId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "drive#{}", self.0)
     }
+}
+
+/// A hash map keyed by drive id, for the per-record lookups of the
+/// serving path.
+///
+/// Its hasher mixes the 32-bit id with a key drawn per map from
+/// [`RandomState`](std::hash::RandomState): one multiply-xorshift
+/// finalizer instead of SipHash's rounds, while a client that picks the
+/// ids it sends still cannot precompute a colliding set. Iteration order
+/// differs from map to map, so no output may depend on it.
+///
+/// ```
+/// use dds_smartsim::{DriveId, DriveMap};
+///
+/// let mut last_hour: DriveMap<u32> = DriveMap::default();
+/// last_hour.insert(DriveId(7), 12);
+/// assert_eq!(last_hour.get(&DriveId(7)), Some(&12));
+/// ```
+pub type DriveMap<V> = HashMap<DriveId, V, DriveHasher>;
+
+/// The hasher of a [`DriveMap`], and its own builder: each map holds one
+/// with a fresh random key and hashes every id with a copy of it.
+#[derive(Clone, Copy)]
+pub struct DriveHasher {
+    key: u64,
+    state: u64,
+}
+
+impl fmt::Debug for DriveHasher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Like `RandomState`, never print the key.
+        f.debug_struct("DriveHasher").finish_non_exhaustive()
+    }
+}
+
+impl Default for DriveHasher {
+    fn default() -> Self {
+        DriveHasher { key: std::hash::RandomState::new().hash_one(0u64), state: 0 }
+    }
+}
+
+impl BuildHasher for DriveHasher {
+    type Hasher = DriveHasher;
+
+    fn build_hasher(&self) -> DriveHasher {
+        DriveHasher { key: self.key, state: 0 }
+    }
+}
+
+impl Hasher for DriveHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.state = fmix64(self.state ^ self.key ^ n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection whose every output bit
+/// depends on every input bit.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
 }
 
 /// Ground-truth label of a drive.
@@ -258,6 +339,21 @@ mod tests {
 
     fn record(hour: u32, fill: f64) -> HealthRecord {
         HealthRecord { hour, values: [fill; NUM_ATTRIBUTES] }
+    }
+
+    #[test]
+    fn drive_maps_are_keyed_per_map() {
+        let (a, b) = (DriveHasher::default(), DriveHasher::default());
+        let id = DriveId(7);
+        // One map hashes an id the same way every time...
+        assert_eq!(a.hash_one(id), a.hash_one(id));
+        // ...but two maps hash it differently, so no id set collides
+        // in every map.
+        assert_ne!(a.hash_one(id), b.hash_one(id));
+        let mut map: DriveMap<u32> = DriveMap::default();
+        map.insert(id, 1);
+        *map.entry(id).or_default() += 1;
+        assert_eq!(map[&id], 2);
     }
 
     fn two_drive_dataset() -> Dataset {

@@ -47,7 +47,9 @@ pub mod stream;
 pub mod topology;
 
 pub use attr::{Attribute, AttributeKind, ValueKind, NUM_ATTRIBUTES};
-pub use dataset::{Dataset, DriveId, DriveLabel, DriveProfile, HealthRecord, RawProfile};
+pub use dataset::{
+    Dataset, DriveHasher, DriveId, DriveLabel, DriveMap, DriveProfile, HealthRecord, RawProfile,
+};
 pub use environment::{Environment, LoadModel};
 pub use failure::FailureMode;
 pub use fleet::{FleetConfig, FleetSimulator};

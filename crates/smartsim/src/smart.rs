@@ -25,6 +25,11 @@ pub const POH_STEP_HOURS: f64 = 876.0;
 /// Number of spare sectors the model reserves for reallocation
 /// ("disk drives usually reserve several thousand spare sectors", §II-A).
 pub const SPARE_SECTORS: f64 = 4096.0;
+/// The 16-bit-saturated "no data" sentinel, the classic 0xFFFF a drive
+/// reports for an attribute it could not read: what the chaos `sentinel`
+/// operator writes, and what the quality gate and the drift detector
+/// treat as missing.
+pub const SENTINEL_VALUE: f64 = 65_535.0;
 
 /// Clamps a computed health value to the reportable one-byte range.
 pub fn clamp_health(value: f64) -> f64 {

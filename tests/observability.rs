@@ -87,6 +87,7 @@ fn metrics_reflect_a_known_pipeline_and_monitoring_run() {
 
     let (training, report) = run_analysis(91_002);
     let bundle = ModelBundle::from_analysis(&training, &report);
+    let groups = bundle.groups().len() as u64;
     // Serving metrics are published by the shard coordinator.
     let mut monitor = dds_monitor::ShardedFleetMonitor::new(bundle, MonitorConfig::default(), 1);
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(91_003)).run();
@@ -94,18 +95,26 @@ fn metrics_reflect_a_known_pipeline_and_monitoring_run() {
     for drive in live.drives() {
         batch.extend(drive.records().iter().map(|r| (drive.id(), r.clone())));
     }
+    let predictions =
+        || metrics::global().snapshot().counter_value("dds_regtree_predictions_total").unwrap_or(0);
+    let predicted = predictions();
     let alerts = monitor.ingest_batch(&batch).len();
     assert!(alerts > 0, "a test-scale fleet must raise alerts");
+    // Every scored record costs one prediction per group model.
+    assert_eq!(predictions() - predicted, live.num_records() as u64 * groups);
 
     let snap = metrics::global().snapshot();
     assert_eq!(snap.counter_value("dds_pipeline_runs_total"), Some(1));
     assert!(snap.counter_value("dds_kmeans_fits_total").unwrap_or(0) >= 1);
     assert!(snap.counter_value("dds_regtree_fits_total").unwrap_or(0) >= 1);
-    assert!(snap.counter_value("dds_regtree_predictions_total").unwrap_or(0) > 0);
+    assert!(predicted > 0, "the pipeline's batch predictions count too");
     assert_eq!(
         snap.counter_value("dds_monitor_records_ingested_total"),
         Some(live.num_records() as u64)
     );
+    // One scoring-time observation per scored record.
+    let scored = snap.histogram("dds_monitor_ingest_seconds").expect("scoring histogram");
+    assert_eq!(scored.count, live.num_records() as u64);
     assert_eq!(snap.counter_value("dds_monitor_alerts_total"), Some(alerts as u64));
     assert_eq!(snap.gauge_value("dds_monitor_drives_tracked"), Some(live.drives().len() as f64));
 
