@@ -31,6 +31,7 @@ pub mod top;
 
 use dds_chaos::{ChaosEngine, ChaosSpec, FaultCounts};
 use dds_core::categorize::CategorizationConfig;
+use dds_core::quality::{needs_sanitizing, sanitize_dataset};
 use dds_core::{
     report, sanitize_profiles, Analysis, AnalysisConfig, QualityPolicy, TrainingContext,
     MODEL_FORMAT_VERSION,
@@ -732,6 +733,19 @@ fn load(path: &PathBuf) -> Result<Dataset, Box<dyn Error>> {
     Ok(read_csv(file)?)
 }
 
+/// Loads a CSV to train or analyze on. `Analysis` takes clean input only,
+/// so a CSV that carries missing values (the vendor sentinel) passes the
+/// quality gate here, where it enters. Live CSVs are loaded with [`load`]:
+/// the serving gate counts their records.
+fn load_training(path: &PathBuf) -> Result<Dataset, Box<dyn Error>> {
+    let dataset = load(path)?;
+    let policy = QualityPolicy::default();
+    if !needs_sanitizing(&dataset, &policy) {
+        return Ok(dataset);
+    }
+    Ok(sanitize_dataset(&dataset, policy)?.0)
+}
+
 fn analysis_config(k: Option<usize>, threads: usize) -> AnalysisConfig {
     AnalysisConfig {
         categorization: CategorizationConfig { fixed_k: k, ..Default::default() },
@@ -854,7 +868,7 @@ fn run_inner(
             ))
         }
         Command::Analyze { input, full_report, k, threads, obs: _ } => {
-            let dataset = load(&input)?;
+            let dataset = load_training(&input)?;
             let analysis = Analysis::new(analysis_config(k, threads)).run(&dataset)?;
             if full_report {
                 Ok(report::render_full_report(&analysis))
@@ -874,7 +888,7 @@ fn run_inner(
             }
         }
         Command::Monitor { train, live, limit, threads, listen, shards, chaos, obs: _ } => {
-            let training = load(&train)?;
+            let training = load_training(&train)?;
             let analysis = Analysis::new(analysis_config(None, threads)).run(&training)?;
             let bundle = ModelBundle::from_analysis(&training, &analysis);
             let live_fleet = load(&live)?;
@@ -971,7 +985,7 @@ fn run_inner(
                         scale: format!("csv:{}", path.display()),
                         git_sha: option_env!("DDS_GIT_SHA").unwrap_or("unknown").to_string(),
                     };
-                    (load(path)?, ctx)
+                    (load_training(path)?, ctx)
                 }
                 None => {
                     let config = fleet_config(&scale)

@@ -345,14 +345,16 @@ pub fn serve(
             // so a hot-swap can never land mid-batch.
             let waiters = promotion_gate.take();
             if !waiters.is_empty() {
-                let outcome = match candidate.take() {
+                // A soaking candidate becomes the serving model; without
+                // one the serving model is re-promoted. The swap is real
+                // either way (new generation, same bytes when re-promoted),
+                // which is exactly the hot-swap torture test's control
+                // case — the alert stream must not notice.
+                let promoted = match candidate.take() {
                     Some(cand) => {
-                        monitor.swap_bundle(cand.bundle.clone());
                         monitor.set_candidate(None);
-                        serving_bundle = cand.bundle;
-                        serving_provenance = cand.provenance;
                         drift.swap_baseline(DriftBaseline::from_bundle(
-                            &serving_bundle,
+                            &cand.bundle,
                             cand.expected_disorder,
                         ));
                         if let Some(path) = &options.model {
@@ -364,33 +366,22 @@ pub fn serve(
                                 );
                             }
                         }
+                        serving_bundle = cand.bundle;
                         serving_model = cand.model;
-                        let generation = model_slot.publish(serving_provenance.clone());
-                        promotions += 1;
-                        PromotionOutcome {
-                            status: 200,
-                            body: format!(
-                                "{{\"status\": \"promoted\", \"promoted\": \"candidate\", \
-                                 \"generation\": {generation}}}"
-                            ),
-                        }
+                        serving_provenance = cand.provenance;
+                        "candidate"
                     }
-                    // No candidate soaking: re-promote the serving model.
-                    // The swap is real (new generation, same bytes), which
-                    // is exactly the hot-swap torture test's control case —
-                    // the alert stream must not notice.
-                    None => {
-                        monitor.swap_bundle(serving_bundle.clone());
-                        let generation = model_slot.publish(serving_provenance.clone());
-                        promotions += 1;
-                        PromotionOutcome {
-                            status: 200,
-                            body: format!(
-                                "{{\"status\": \"promoted\", \"promoted\": \"serving\", \
-                                 \"generation\": {generation}}}"
-                            ),
-                        }
-                    }
+                    None => "serving",
+                };
+                monitor.swap_bundle(serving_bundle.clone());
+                let generation = model_slot.publish(serving_provenance.clone());
+                promotions += 1;
+                let outcome = PromotionOutcome {
+                    status: 200,
+                    body: format!(
+                        "{{\"status\": \"promoted\", \"promoted\": \"{promoted}\", \
+                         \"generation\": {generation}}}"
+                    ),
                 };
                 for waiter in waiters {
                     let _ = waiter.send(outcome.clone());

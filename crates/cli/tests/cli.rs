@@ -195,6 +195,70 @@ fn train_once_predict_matches_monitor_and_corruption_is_rejected() {
 }
 
 #[test]
+fn train_on_a_csv_with_sentinel_cells_saves_the_gated_scaler() {
+    let clean_csv = temp_path("sentinel_clean.csv");
+    let sentinel_csv = temp_path("sentinel_cells.csv");
+    let output = dds()
+        .args(["simulate", "--scale", "test", "--seed", "11", "--out", clean_csv.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    // One attribute cell of every 50th row reads the vendor sentinel.
+    let text = std::fs::read_to_string(&clean_csv).unwrap();
+    let mut corrupted = String::new();
+    for (row, line) in text.lines().enumerate() {
+        if row > 0 && row % 50 == 0 {
+            let mut fields: Vec<&str> = line.split(',').collect();
+            fields[3 + row % 12] = "65535";
+            corrupted.push_str(&fields.join(","));
+        } else {
+            corrupted.push_str(line);
+        }
+        corrupted.push('\n');
+    }
+    std::fs::write(&sentinel_csv, corrupted).unwrap();
+
+    let train = |csv: &PathBuf, name: &str| {
+        let artifact = temp_path(name);
+        let output = dds()
+            .args([
+                "train",
+                "--input",
+                csv.to_str().unwrap(),
+                "--save-model",
+                artifact.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        let model = dds_core::TrainedModel::load(&artifact).expect("artifact loads");
+        let _ = std::fs::remove_file(&artifact);
+        model
+    };
+    let clean = train(&clean_csv, "sentinel_clean.dds");
+    let gated = train(&sentinel_csv, "sentinel_gated.dds");
+
+    // The gate only drops records or carries a drive's earlier values
+    // forward, so every bound and population mean stays inside the clean
+    // fleet's range, nowhere near the sentinel.
+    for c in 0..clean.scaler_maxs.len() {
+        let (lo, hi) = (clean.scaler_mins[c], clean.scaler_maxs[c]);
+        assert!(hi < 65535.0, "attribute {c}: the clean fleet stays below the sentinel");
+        assert!(
+            lo <= gated.scaler_mins[c] && gated.scaler_maxs[c] <= hi,
+            "attribute {c}: gated bounds [{}, {}] outside the clean [{lo}, {hi}]",
+            gated.scaler_mins[c],
+            gated.scaler_maxs[c]
+        );
+        let mean = gated.population_means[c];
+        assert!(lo <= mean && mean <= hi, "attribute {c}: population mean {mean}");
+    }
+
+    let _ = std::fs::remove_file(&clean_csv);
+    let _ = std::fs::remove_file(&sentinel_csv);
+}
+
+#[test]
 fn pipeline_subcommand_emits_trace_and_metrics() {
     let trace = temp_path("trace.jsonl");
     let metrics = temp_path("metrics.json");

@@ -69,7 +69,5 @@ pub use model::{
 pub use online::{OnlineTrainer, RefitOutcome, RefitPath};
 pub use pipeline::{Analysis, AnalysisConfig, AnalysisReport};
 pub use predict::{DegradationPredictor, PredictionConfig, PredictionReport};
-pub use quality::{
-    sanitize_profiles, DataQualityError, FleetSanitizer, QualityPolicy, QualityStats,
-};
+pub use quality::{sanitize_profiles, DataQualityError, QualityPolicy, QualityStats};
 pub use zscore::{temporal_z_scores, TemporalZScores, ZScoreConfig};

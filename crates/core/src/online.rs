@@ -12,40 +12,32 @@
 //! Two disciplines make the refit safe to hot-swap into a serving
 //! monitor:
 //!
-//! 1. **Bit-identity.** Over a clean window the trainer reconstructs the
-//!    exact training [`Dataset`] (drive order, labels, racks and records
-//!    all match the epoch manifest), so [`OnlineTrainer::refit`] produces
-//!    an artifact byte-identical to a cold `Analysis::train` on the same
-//!    window — the online analogue of the warm-vs-cold model proof. The
-//!    property is pinned by `tests/online_learning.rs` across seeds and
-//!    shard interleavings.
+//! 1. **Bit-identity.** The window keeps one raw profile per manifest
+//!    drive, in manifest order, with the manifest's labels and racks, and
+//!    every refit passes it through the quality gate
+//!    ([`sanitize_profiles`]). The gate admits a clean window's records
+//!    unchanged, so [`OnlineTrainer::refit`] then produces an artifact
+//!    byte-identical to a cold `Analysis::train` on the same window — the
+//!    online analogue of the warm-vs-cold model proof. The property is
+//!    pinned by `tests/online_learning.rs` across seeds and shard
+//!    interleavings.
 //! 2. **Recompute at refit time.** Observing only buffers each record
 //!    under its drive; scaler bounds, K-means centroids, per-group
 //!    signatures and z-score baselines are recomputed over the window at
 //!    refit time, where the cache-blocked columnar kernels already run in
 //!    well under an epoch.
 //!
-//! Corrupted windows (out-of-order hours, duplicates, missing values —
-//! anything a chaos stream produces) are routed through
-//! [`sanitize_profiles`] first; the returned [`QualityStats`] tell the
-//! caller how disordered the window was, which the drift detector uses
-//! as the refit candidate's expected-disorder baseline.
+//! On a corrupted window (out-of-order hours, duplicates, missing values —
+//! anything a chaos stream produces) the same gate quarantines and
+//! imputes, and its [`QualityStats`] tell the caller how disordered the
+//! window was, which the drift detector uses as the refit candidate's
+//! expected-disorder baseline.
 
 use crate::error::AnalysisError;
 use crate::model::{TrainedModel, TrainingContext};
 use crate::pipeline::{Analysis, AnalysisConfig, AnalysisReport};
-use crate::quality::{sanitize_profiles, QualityStats};
-use dds_smartsim::topology::RackId;
-use dds_smartsim::{Dataset, DriveId, DriveLabel, DriveProfile, HealthRecord, RawProfile};
-use std::collections::BTreeMap;
-
-/// What the trainer knows about one drive of the current window, captured
-/// from the epoch manifest at [`OnlineTrainer::begin_epoch`].
-#[derive(Debug, Clone, Copy)]
-struct DriveFacts {
-    label: DriveLabel,
-    rack: Option<RackId>,
-}
+use crate::quality::{sanitize_profiles, QualityPolicy, QualityStats};
+use dds_smartsim::{Dataset, DriveId, DriveMap, HealthRecord, RawProfile};
 
 /// Which refit math produced a [`RefitOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +63,9 @@ pub struct RefitOutcome {
     /// The deployable artifact (codec-identical to a cold
     /// [`Analysis::train`] on the same window).
     pub model: TrainedModel,
-    /// Quality-gate tallies when the window needed sanitizing; `None`
-    /// for clean windows (which skip the gate entirely, exactly like the
-    /// cold path).
-    pub quality: Option<QualityStats>,
+    /// The quality gate's tallies over the window's records. On a clean
+    /// window it admitted every record unchanged.
+    pub quality: QualityStats,
     /// Which refit math produced this outcome.
     pub path: RefitPath,
     /// Mean RMSE of the *prior* (serving) model's trees scored on this
@@ -86,8 +77,6 @@ pub struct RefitOutcome {
     /// baseline the live value is compared against. `None` without a
     /// prior.
     pub prior_training_rmse: Option<f64>,
-    /// Records accepted into the window.
-    pub observed: u64,
     /// Records offered for drives outside the epoch manifest (mid-epoch
     /// fleet joins, stale collector echo) — excluded from the window but
     /// counted as expected disorder.
@@ -102,15 +91,11 @@ impl RefitOutcome {
     /// after a promotion — counting the ignored records keeps the
     /// baseline honest on mid-epoch fleet joins.
     pub fn expected_disorder(&self) -> f64 {
-        let (quarantined, ingested) = match &self.quality {
-            Some(stats) => (stats.quarantined, stats.ingested),
-            None => (0, self.observed),
-        };
-        let offered = ingested + self.ignored;
+        let offered = self.quality.ingested + self.ignored;
         if offered == 0 {
             return 0.0;
         }
-        (quarantined + self.ignored) as f64 / offered as f64
+        (self.quality.quarantined + self.ignored) as f64 / offered as f64
     }
 }
 
@@ -126,15 +111,14 @@ impl RefitOutcome {
 #[derive(Debug)]
 pub struct OnlineTrainer {
     config: AnalysisConfig,
-    /// Window drives in epoch-manifest order (the order cold training
-    /// sees them in).
-    order: Vec<DriveId>,
-    facts: BTreeMap<DriveId, DriveFacts>,
-    records: BTreeMap<DriveId, Vec<HealthRecord>>,
+    /// The refit window: one raw profile per manifest drive, in manifest
+    /// order (the order cold training sees them in).
+    window: Vec<RawProfile>,
+    /// Each manifest drive's position in `window`.
+    index: DriveMap<u32>,
     observed: u64,
     /// Records offered for drives outside the epoch manifest this window.
     ignored: u64,
-    epochs_begun: u64,
     refits: u64,
 }
 
@@ -146,12 +130,10 @@ impl OnlineTrainer {
     pub fn new(config: AnalysisConfig) -> Self {
         OnlineTrainer {
             config,
-            order: Vec::new(),
-            facts: BTreeMap::new(),
-            records: BTreeMap::new(),
+            window: Vec::new(),
+            index: DriveMap::default(),
             observed: 0,
             ignored: 0,
-            epochs_begun: 0,
             refits: 0,
         }
     }
@@ -162,16 +144,20 @@ impl OnlineTrainer {
     /// epoch dataset — labels and racks are fleet metadata, not wire
     /// payload, so a corrupted stream cannot forge them.
     pub fn begin_epoch(&mut self, manifest: &Dataset) {
-        self.order.clear();
-        self.facts.clear();
-        self.records.clear();
+        self.window.clear();
+        self.index.clear();
         for drive in manifest.drives() {
-            self.order.push(drive.id());
-            self.facts.insert(drive.id(), DriveFacts { label: drive.label(), rack: drive.rack() });
+            let position = u32::try_from(self.window.len()).expect("fewer than 2^32 drives");
+            self.index.insert(drive.id(), position);
+            self.window.push(RawProfile {
+                id: drive.id(),
+                label: drive.label(),
+                rack: drive.rack(),
+                records: Vec::with_capacity(drive.records().len()),
+            });
         }
         self.observed = 0;
         self.ignored = 0;
-        self.epochs_begun += 1;
     }
 
     /// Observes one record offered to the monitor. Records for drives
@@ -181,12 +167,12 @@ impl OnlineTrainer {
     /// [`RefitOutcome::expected_disorder`] — so mid-epoch fleet joins
     /// don't silently understate the drift baseline.
     pub fn observe(&mut self, drive: DriveId, record: &HealthRecord) {
-        if !self.facts.contains_key(&drive) {
+        let Some(&position) = self.index.get(&drive) else {
             self.ignored += 1;
             dds_obs::metrics::global().counter("dds_refit_ignored_total").inc();
             return;
-        }
-        self.records.entry(drive).or_default().push(record.clone());
+        };
+        self.window[position as usize].records.push(record.clone());
         self.observed += 1;
     }
 
@@ -203,37 +189,25 @@ impl OnlineTrainer {
         self.observed
     }
 
-    /// Number of epochs started with [`begin_epoch`](Self::begin_epoch).
-    pub fn epochs_begun(&self) -> u64 {
-        self.epochs_begun
-    }
-
     /// Number of completed refits.
     pub fn refits(&self) -> u64 {
         self.refits
     }
 
-    /// Whether the accumulated window can be reassembled without the
-    /// quality gate: every manifest drive has records, strictly
-    /// chronological — the shape [`DriveProfile::new`] accepts directly.
-    fn window_is_clean(&self) -> bool {
-        self.order.iter().all(|id| {
-            self.records.get(id).is_some_and(|recs| recs.windows(2).all(|w| w[0].hour < w[1].hour))
-        })
-    }
-
     /// Refits the full model over the current window.
     ///
-    /// Clean windows reassemble the exact epoch dataset (manifest order,
-    /// labels, racks) and run the identical pipeline cold training runs,
-    /// so the returned artifact is byte-identical (up to the
-    /// `created_unix` wall-clock stamp) to `Analysis::train` on that
-    /// window. Disordered windows are routed through
-    /// [`sanitize_profiles`] first and report their [`QualityStats`].
+    /// The window always passes the quality gate ([`sanitize_profiles`]
+    /// under the default [`QualityPolicy`], the policy the artifact
+    /// records) and the outcome reports its [`QualityStats`]. A clean
+    /// window passes unchanged as the exact epoch dataset (manifest
+    /// order, labels, racks), so the returned artifact is byte-identical
+    /// (up to the `created_unix` wall-clock stamp) to `Analysis::train` on
+    /// that window.
     ///
     /// # Errors
     ///
-    /// Propagates pipeline errors; an empty window reports
+    /// Propagates pipeline errors; an empty window, or one where no
+    /// drive survives the gate, reports
     /// [`AnalysisError::UnsuitableDataset`].
     pub fn refit(&mut self, ctx: &TrainingContext) -> Result<RefitOutcome, AnalysisError> {
         self.refit_with(ctx, None)
@@ -253,8 +227,8 @@ impl OnlineTrainer {
     /// # Errors
     ///
     /// Propagates pipeline errors from the (possibly fallback) replay
-    /// path; an empty window reports
-    /// [`AnalysisError::UnsuitableDataset`].
+    /// path; an empty window, or one where no drive survives the gate,
+    /// reports [`AnalysisError::UnsuitableDataset`].
     pub fn refit_with(
         &mut self,
         ctx: &TrainingContext,
@@ -267,7 +241,7 @@ impl OnlineTrainer {
                 "online refit window is empty".to_string(),
             ));
         }
-        let (dataset, quality) = self.assemble_window()?;
+        let (dataset, quality) = sanitize_profiles(&self.window, QualityPolicy::default())?;
         let analysis = Analysis::new(self.config.clone());
         let (report, model, live_rmse, path) = match prior {
             Some(_) => match analysis.train_from(&dataset, ctx, prior, true) {
@@ -299,46 +273,8 @@ impl OnlineTrainer {
             path,
             live_rmse,
             prior_training_rmse,
-            observed: self.observed,
             ignored: self.ignored,
         })
-    }
-
-    /// Reassembles the window into a training [`Dataset`]: the clean
-    /// fast path rebuilds exact epoch profiles, disordered windows go
-    /// through the quality gate.
-    fn assemble_window(&self) -> Result<(Dataset, Option<QualityStats>), AnalysisError> {
-        if self.window_is_clean() {
-            let drives: Vec<DriveProfile> = self
-                .order
-                .iter()
-                .map(|id| {
-                    let facts = self.facts[id];
-                    let profile = DriveProfile::new(*id, facts.label, self.records[id].clone());
-                    match facts.rack {
-                        Some(rack) => profile.with_rack(rack),
-                        None => profile,
-                    }
-                })
-                .collect();
-            Ok((Dataset::new(drives)?, None))
-        } else {
-            let raw: Vec<RawProfile> = self
-                .order
-                .iter()
-                .map(|id| {
-                    let facts = self.facts[id];
-                    RawProfile {
-                        id: *id,
-                        label: facts.label,
-                        rack: facts.rack,
-                        records: self.records.get(id).cloned().unwrap_or_default(),
-                    }
-                })
-                .collect();
-            let (dataset, stats) = sanitize_profiles(&raw, self.config.quality)?;
-            Ok((dataset, Some(stats)))
-        }
     }
 }
 
@@ -371,11 +307,9 @@ mod tests {
         // A drive outside the manifest is ignored, not accumulated.
         trainer.observe(DriveId(u32::MAX), &records[0].1);
         assert_eq!(trainer.window_records(), records.len() as u64);
-        assert_eq!(trainer.epochs_begun(), 1);
         // A new epoch resets the window.
         trainer.begin_epoch(&dataset);
         assert_eq!(trainer.window_records(), 0);
-        assert_eq!(trainer.epochs_begun(), 2);
     }
 
     #[test]
@@ -393,8 +327,8 @@ mod tests {
         let mut trainer = OnlineTrainer::new(config());
         trainer.begin_epoch(&dataset);
         let mut records = hour_ordered(&dataset);
-        // Skew a handful of hours backwards: per-drive order breaks, the
-        // clean reassembly path is off the table.
+        // Skew a handful of hours backwards: per-drive order breaks and
+        // the gate quarantines the skewed records.
         for (i, (_, record)) in records.iter_mut().enumerate() {
             if i % 97 == 5 {
                 record.hour = record.hour.saturating_sub(3);
@@ -402,8 +336,7 @@ mod tests {
         }
         trainer.observe_batch(&records);
         let outcome = trainer.refit(&ctx(33)).unwrap();
-        let stats = outcome.quality.expect("disordered window engages the gate");
-        assert!(stats.quarantined > 0, "skewed hours must quarantine");
+        assert!(outcome.quality.quarantined > 0, "skewed hours must quarantine");
         assert!(outcome.expected_disorder() > 0.0);
         assert!(outcome.expected_disorder() < 0.05, "only a handful of records were skewed");
         assert_eq!(outcome.model.groups.len(), outcome.report.prediction.groups.len());

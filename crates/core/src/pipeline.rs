@@ -19,7 +19,7 @@ use crate::features::FailureRecordSet;
 use crate::influence::{self, AttributeInfluence, EnvInfluence};
 use crate::model::{TrainedModel, TrainingContext};
 use crate::predict::{DegradationPredictor, PredictionConfig, PredictionReport};
-use crate::quality::{self, QualityPolicy, QualityStats};
+use crate::quality::{needs_sanitizing, QualityPolicy};
 use crate::zscore::{all_attribute_z_scores_columns, TemporalZScores, ZScoreConfig};
 use dds_obs::trace::Level;
 use dds_smartsim::{Attribute, Dataset};
@@ -30,7 +30,7 @@ use dds_stats::{BoxplotSummary, Histogram};
 /// time into the stage histogram `metric` (always, even with tracing
 /// disabled — metric updates are a few relaxed atomics and never change
 /// results).
-fn stage<T>(name: &'static str, metric: &'static str, f: impl FnOnce() -> T) -> T {
+pub(crate) fn stage<T>(name: &'static str, metric: &'static str, f: impl FnOnce() -> T) -> T {
     let _span = dds_obs::span!(Level::Info, name);
     let start = std::time::Instant::now();
     let result = f();
@@ -59,10 +59,6 @@ pub struct AnalysisConfig {
     pub zscore: ZScoreConfig,
     /// Degradation-prediction settings.
     pub prediction: PredictionConfig,
-    /// Data-quality gate limits. The gate only engages when the dataset
-    /// actually carries missing values (NaN/sentinel), so clean datasets
-    /// run the identical ungated pipeline.
-    pub quality: QualityPolicy,
     /// Analysis-wide parallelism. [`Analysis::run`] applies this mode to
     /// every stage (clustering, split search, batch prediction, the
     /// per-attribute and per-group loops), overriding whatever the
@@ -115,9 +111,6 @@ pub struct AnalysisReport {
     pub z_scores: Vec<TemporalZScores>,
     /// Fig. 13 + Table III: per-group degradation predictors.
     pub prediction: PredictionReport,
-    /// Quality-gate bookkeeping when the dataset needed sanitizing;
-    /// `None` for clean datasets (the gate never engaged).
-    pub quality: Option<QualityStats>,
 }
 
 impl AnalysisReport {
@@ -139,13 +132,16 @@ impl Analysis {
         Analysis { config }
     }
 
-    /// Runs every stage of the paper on `dataset`.
+    /// Runs every stage of the paper on `dataset`, which must be clean:
+    /// raw telemetry passes the quality gate
+    /// ([`sanitize_profiles`](crate::quality::sanitize_profiles)) where it
+    /// enters, and the analysis never gates it again.
     ///
     /// # Errors
     ///
-    /// Propagates stage errors; the most common is
-    /// [`AnalysisError::UnsuitableDataset`] for datasets without failed or
-    /// good drives.
+    /// [`AnalysisError::UnsuitableDataset`] when the dataset still carries
+    /// a missing value (NaN, ±∞ or the vendor sentinel) or has no failed
+    /// or good drives; otherwise propagates stage errors.
     pub fn run(&self, dataset: &Dataset) -> Result<AnalysisReport, AnalysisError> {
         self.run_impl(dataset, None, false).map(|(report, _)| report)
     }
@@ -163,6 +159,13 @@ impl Analysis {
         prior: Option<&TrainedModel>,
         warm: bool,
     ) -> Result<(AnalysisReport, Option<f64>), AnalysisError> {
+        if needs_sanitizing(dataset, &QualityPolicy::default()) {
+            return Err(AnalysisError::UnsuitableDataset(
+                "dataset carries missing values (NaN, ±inf or the vendor sentinel); \
+                 gate it with sanitize_profiles first"
+                    .to_string(),
+            ));
+        }
         let warm_prior = prior.filter(|_| warm);
         let _run_span = dds_obs::span!(
             Level::Info,
@@ -174,30 +177,6 @@ impl Analysis {
         if warm_prior.is_some() {
             dds_obs::metrics::global().counter("dds_pipeline_incremental_runs_total").inc();
         }
-
-        // --- Data-quality gate ---------------------------------------------
-        // Engages only on datasets that actually carry missing values;
-        // clean datasets skip it entirely so their results stay
-        // byte-identical to the ungated pipeline.
-        let mut quality_stats = None;
-        let sanitized;
-        let dataset: &Dataset = if quality::needs_sanitizing(dataset, &self.config.quality) {
-            let (clean, stats) = stage("pipeline.quality", "dds_pipeline_quality_seconds", || {
-                quality::sanitize_dataset(dataset, self.config.quality)
-            })?;
-            dds_obs::event!(
-                Level::Warn,
-                "pipeline.quality_gate",
-                quarantined = stats.quarantined,
-                imputed_attrs = stats.imputed_attrs,
-                drives_dropped = stats.drives_dropped,
-            );
-            quality_stats = Some(stats);
-            sanitized = clean;
-            &sanitized
-        } else {
-            dataset
-        };
 
         // --- Fig. 1 --------------------------------------------------------
         let profile_durations =
@@ -258,8 +237,8 @@ impl Analysis {
             })?;
 
         // --- Columnar hot-path storage --------------------------------------
-        // One SoA transpose of the (sanitized) fleet feeds the degradation,
-        // z-score and prediction stages below; each reads contiguous
+        // One SoA transpose of the fleet feeds the degradation, z-score
+        // and prediction stages below; each reads contiguous
         // per-attribute columns instead of walking record structs, with
         // bit-identical results.
         let columns = stage("pipeline.columnar", "dds_pipeline_columnar_seconds", || {
@@ -345,7 +324,6 @@ impl Analysis {
                 env_influence,
                 z_scores,
                 prediction,
-                quality: quality_stats,
             },
             live_rmse,
         ))
@@ -358,7 +336,7 @@ impl Analysis {
     ///
     /// # Errors
     ///
-    /// Propagates the same stage errors as [`run`](Self::run).
+    /// The same as [`run`](Self::run).
     pub fn train(
         &self,
         dataset: &Dataset,
@@ -422,6 +400,29 @@ mod tests {
         let hist = &r.profile_durations.histogram;
         assert_eq!(hist.counts().len(), 10);
         assert_eq!(hist.total() as usize, r.failure_records.len());
+    }
+
+    #[test]
+    fn rejects_a_dataset_that_still_carries_missing_values() {
+        use crate::quality::SENTINEL_VALUE;
+        use dds_smartsim::{
+            DriveId, DriveLabel, DriveProfile, FailureMode, HealthRecord, NUM_ATTRIBUTES,
+        };
+
+        let record = |hour: u32, value: f64| HealthRecord { hour, values: [value; NUM_ATTRIBUTES] };
+        let mut sentinel = record(2, 3.0);
+        sentinel.values[4] = SENTINEL_VALUE;
+        let failed = DriveProfile::new(
+            DriveId(0),
+            DriveLabel::Failed(FailureMode::BadSector),
+            vec![record(0, 1.0), record(1, 2.0), sentinel],
+        );
+        let good = DriveProfile::new(DriveId(1), DriveLabel::Good, vec![record(0, 1.0)]);
+        let ds = Dataset::new(vec![failed, good]).unwrap();
+        let Err(AnalysisError::UnsuitableDataset(message)) = Analysis::default().run(&ds) else {
+            panic!("a dataset carrying the sentinel must be rejected");
+        };
+        assert!(message.contains("sanitize_profiles"), "{message}");
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!   one record are missing, or there is no history to carry forward —
 //!   the record is quarantined instead.
 //!
-//! Batch ingest goes through [`sanitize_profiles`] (raw profiles →
-//! clean [`Dataset`] + [`QualityStats`]), which holds a [`FleetSanitizer`]
-//! and calls [`FleetSanitizer::admit`] per record; a serving monitor keeps
-//! a [`DriveGate`] in each drive's slot and calls [`DriveGate::admit`].
-//! Both run the same per-drive gate.
+//! Batch telemetry passes this gate once, where it enters:
+//! [`sanitize_profiles`] turns raw profiles into a clean [`Dataset`] plus
+//! [`QualityStats`], running a fresh [`DriveGate`] over each profile.
+//! [`Analysis`](crate::Analysis) requires clean input and never gates
+//! itself. A serving monitor keeps a [`DriveGate`] in each drive's slot
+//! and calls [`DriveGate::admit`]. Both run the same per-drive gate.
 //! The gate only tallies into its [`QualityStats`] and writes no metrics:
 //! the serving path's shard coordinator publishes the quarantine and
 //! imputation counters for the records offered to it, so training,
@@ -29,8 +30,10 @@
 //! [`DriveProfile::new`]: dds_smartsim::DriveProfile::new
 
 use crate::error::AnalysisError;
+use crate::pipeline::stage;
+use dds_obs::trace::Level;
 use dds_smartsim::dataset::RawProfile;
-use dds_smartsim::{Dataset, DriveId, DriveMap, DriveProfile, HealthRecord, NUM_ATTRIBUTES};
+use dds_smartsim::{Dataset, DriveId, DriveProfile, HealthRecord, NUM_ATTRIBUTES};
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
@@ -160,8 +163,9 @@ impl QualityPolicy {
 }
 
 /// One drive's quality gate: its ordering watermark plus the LOCF
-/// baseline. [`FleetSanitizer`] keeps one per drive; a serving monitor
-/// keeps one in each drive's slot, beside the drive's escalation state.
+/// baseline. [`sanitize_profiles`] runs a fresh one over each profile; a
+/// serving monitor keeps one in each drive's slot, beside the drive's
+/// escalation state.
 #[derive(Debug, Clone)]
 pub struct DriveGate {
     last_hour: Option<u32>,
@@ -335,64 +339,6 @@ impl fmt::Display for QualityStats {
     }
 }
 
-/// The streaming quality gate for a whole fleet: one per-drive gate,
-/// shared policy, cumulative [`QualityStats`].
-#[derive(Debug, Clone)]
-pub struct FleetSanitizer {
-    policy: QualityPolicy,
-    drives: DriveMap<DriveGate>,
-    stats: QualityStats,
-}
-
-impl FleetSanitizer {
-    /// Creates a gate with the given policy.
-    pub fn new(policy: QualityPolicy) -> Self {
-        FleetSanitizer { policy, drives: DriveMap::default(), stats: QualityStats::default() }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &QualityPolicy {
-        &self.policy
-    }
-
-    /// Cumulative stats (never reset by [`new_session`]).
-    ///
-    /// [`new_session`]: FleetSanitizer::new_session
-    pub fn stats(&self) -> &QualityStats {
-        &self.stats
-    }
-
-    /// Offers one record. Returns the (possibly repaired) record, or the
-    /// quarantine reason. Stats update either way.
-    pub fn admit(
-        &mut self,
-        drive: DriveId,
-        record: &HealthRecord,
-    ) -> Result<HealthRecord, DataQualityError> {
-        let gate = self.drives.entry(drive).or_default();
-        gate.admit(&self.policy, &mut self.stats, drive, record).map(Cow::into_owned)
-    }
-
-    /// Starts a fresh ingest session: per-drive ordering and imputation
-    /// state is discarded (a new epoch restarts the clock and re-rolls
-    /// the fleet), cumulative stats are kept.
-    pub fn new_session(&mut self) {
-        self.drives.clear();
-    }
-
-    /// Quarantines `kept` already-accepted records of a drive that ended
-    /// up too short to analyze, reclassifying them under `short_profile`.
-    pub fn discard_short_profile(&mut self, drive: DriveId, kept: usize, needed: usize) {
-        let error = DataQualityError::ShortProfile { drive, kept, needed };
-        self.stats.accepted -= kept as u64;
-        self.stats.drives_dropped += 1;
-        for _ in 0..kept {
-            self.stats.quarantine_one(&error);
-        }
-        self.drives.remove(&drive);
-    }
-}
-
 /// Fewest clean records a drive must retain to stay in the dataset:
 /// failed drives need 3 (the degradation fit minimum), good drives 1.
 pub fn min_records_for(label: dds_smartsim::DriveLabel) -> usize {
@@ -403,10 +349,18 @@ pub fn min_records_for(label: dds_smartsim::DriveLabel) -> usize {
     }
 }
 
-/// Sanitizes raw profiles into an analyzable [`Dataset`]: per-record
-/// quarantine/imputation through a [`FleetSanitizer`], then per-drive
-/// minimum-length enforcement, then a fresh Eq. (1) scaler fit over the
-/// surviving records only.
+/// The batch quality gate: sanitizes raw profiles (one per drive) into an
+/// analyzable [`Dataset`]. Each profile's records pass a fresh
+/// [`DriveGate`]; a drive left with fewer clean records than
+/// [`min_records_for`] its label is dropped and those records are
+/// reclassified as `short_profile` quarantines; the Eq. (1) scaler is then
+/// fitted over the surviving records only. A clean profile passes
+/// unchanged, so a clean fleet yields exactly its own dataset.
+///
+/// Runs as the `pipeline.quality` stage (span and
+/// `dds_pipeline_quality_seconds`), and emits the Warn event
+/// `pipeline.quality_gate` when it quarantined, imputed or dropped
+/// anything.
 ///
 /// # Errors
 ///
@@ -415,33 +369,50 @@ pub fn sanitize_profiles(
     profiles: &[RawProfile],
     policy: QualityPolicy,
 ) -> Result<(Dataset, QualityStats), AnalysisError> {
-    let mut sanitizer = FleetSanitizer::new(policy);
-    let mut clean: Vec<DriveProfile> = Vec::with_capacity(profiles.len());
-    for raw in profiles {
-        let mut records: Vec<HealthRecord> = Vec::with_capacity(raw.records.len());
-        for record in &raw.records {
-            if let Ok(clean_record) = sanitizer.admit(raw.id, record) {
-                records.push(clean_record);
+    let (dataset, stats) = stage("pipeline.quality", "dds_pipeline_quality_seconds", || {
+        let mut stats = QualityStats::default();
+        let mut clean: Vec<DriveProfile> = Vec::with_capacity(profiles.len());
+        for raw in profiles {
+            let mut gate = DriveGate::default();
+            let mut records: Vec<HealthRecord> = Vec::with_capacity(raw.records.len());
+            for record in &raw.records {
+                if let Ok(clean_record) = gate.admit(&policy, &mut stats, raw.id, record) {
+                    records.push(clean_record.into_owned());
+                }
             }
+            let (kept, needed) = (records.len(), min_records_for(raw.label));
+            if kept < needed {
+                // The drive's accepted records are quarantined with it.
+                let error = DataQualityError::ShortProfile { drive: raw.id, kept, needed };
+                stats.accepted -= kept as u64;
+                stats.drives_dropped += 1;
+                for _ in 0..kept {
+                    stats.quarantine_one(&error);
+                }
+                continue;
+            }
+            let mut profile = DriveProfile::new(raw.id, raw.label, records);
+            if let Some(rack) = raw.rack {
+                profile = profile.with_rack(rack);
+            }
+            clean.push(profile);
         }
-        let needed = min_records_for(raw.label);
-        if records.len() < needed {
-            sanitizer.discard_short_profile(raw.id, records.len(), needed);
-            continue;
+        if clean.is_empty() {
+            return Err(AnalysisError::UnsuitableDataset(
+                "no drive survived the data-quality gate".to_string(),
+            ));
         }
-        let mut profile = DriveProfile::new(raw.id, raw.label, records);
-        if let Some(rack) = raw.rack {
-            profile = profile.with_rack(rack);
-        }
-        clean.push(profile);
+        Ok((Dataset::new(clean)?, stats))
+    })?;
+    if stats.quarantined > 0 || stats.imputed_attrs > 0 || stats.drives_dropped > 0 {
+        dds_obs::event!(
+            Level::Warn,
+            "pipeline.quality_gate",
+            quarantined = stats.quarantined,
+            imputed_attrs = stats.imputed_attrs,
+            drives_dropped = stats.drives_dropped,
+        );
     }
-    if clean.is_empty() {
-        return Err(AnalysisError::UnsuitableDataset(
-            "no drive survived the data-quality gate".to_string(),
-        ));
-    }
-    let stats = *sanitizer.stats();
-    let dataset = Dataset::new(clean)?;
     Ok((dataset, stats))
 }
 
@@ -457,9 +428,10 @@ pub fn sanitize_dataset(
     sanitize_profiles(&raw, policy)
 }
 
-/// Whether any record of the dataset carries a missing value — the cheap
-/// scan [`Analysis::run`](crate::Analysis::run) uses to skip the gate
-/// (and keep clean runs byte-identical to the ungated pipeline).
+/// Whether any record of the dataset carries a missing value — the scan
+/// behind [`Analysis::run`](crate::Analysis::run)'s clean-input
+/// precondition, and the test for whether a loaded CSV needs
+/// [`sanitize_dataset`].
 pub fn needs_sanitizing(dataset: &Dataset, policy: &QualityPolicy) -> bool {
     dataset
         .drives()
@@ -485,9 +457,36 @@ mod tests {
         r
     }
 
+    /// The gates of drives 0, 1 and 2 under one policy and one tally —
+    /// the shape a serving monitor's slots give them.
+    struct Gates {
+        policy: QualityPolicy,
+        gates: [DriveGate; 3],
+        stats: QualityStats,
+    }
+
+    impl Gates {
+        fn new(policy: QualityPolicy) -> Self {
+            Gates { policy, gates: Default::default(), stats: QualityStats::default() }
+        }
+
+        fn admit(
+            &mut self,
+            drive: DriveId,
+            record: &HealthRecord,
+        ) -> Result<HealthRecord, DataQualityError> {
+            let gate = &mut self.gates[drive.0 as usize];
+            gate.admit(&self.policy, &mut self.stats, drive, record).map(Cow::into_owned)
+        }
+
+        fn stats(&self) -> &QualityStats {
+            &self.stats
+        }
+    }
+
     #[test]
     fn clean_records_pass_untouched() {
-        let mut gate = FleetSanitizer::new(QualityPolicy::default());
+        let mut gate = Gates::new(QualityPolicy::default());
         for hour in 0..5 {
             let rec = record(hour, 10.0 + hour as f64);
             let out = gate.admit(DriveId(0), &rec).unwrap();
@@ -502,7 +501,7 @@ mod tests {
 
     #[test]
     fn ordering_faults_quarantine_without_corrupting_state() {
-        let mut gate = FleetSanitizer::new(QualityPolicy::default());
+        let mut gate = Gates::new(QualityPolicy::default());
         gate.admit(DriveId(0), &record(5, 1.0)).unwrap();
         let dup = gate.admit(DriveId(0), &record(5, 2.0)).unwrap_err();
         assert!(matches!(dup, DataQualityError::DuplicateHour { hour: 5, .. }));
@@ -520,7 +519,7 @@ mod tests {
     #[test]
     fn locf_imputes_nan_and_sentinel_up_to_the_cap() {
         let policy = QualityPolicy { max_consecutive_imputes: 2, ..Default::default() };
-        let mut gate = FleetSanitizer::new(policy);
+        let mut gate = Gates::new(policy);
         gate.admit(DriveId(0), &record(0, 42.0)).unwrap();
         let out = gate.admit(DriveId(0), &record_with(1, 7.0, &[3], f64::NAN)).unwrap();
         assert_eq!(out.values[3], 42.0, "LOCF carries the last observation");
@@ -540,7 +539,7 @@ mod tests {
     #[test]
     fn first_record_missing_and_wide_missing_are_unimputable() {
         let policy = QualityPolicy { max_missing_per_record: 2, ..Default::default() };
-        let mut gate = FleetSanitizer::new(policy);
+        let mut gate = Gates::new(policy);
         let err = gate.admit(DriveId(0), &record_with(0, 1.0, &[2], f64::NAN)).unwrap_err();
         assert!(matches!(err, DataQualityError::Unimputable { .. }), "no history to carry");
         gate.admit(DriveId(0), &record(1, 1.0)).unwrap();
@@ -551,7 +550,7 @@ mod tests {
 
     #[test]
     fn bounds_invariant_accepted_plus_quarantined_is_ingested() {
-        let mut gate = FleetSanitizer::new(QualityPolicy::default());
+        let mut gate = Gates::new(QualityPolicy::default());
         let mut hour = 0u32;
         for i in 0..100u32 {
             // A messy mix: every 7th record duplicated, every 11th NaN.
@@ -569,16 +568,6 @@ mod tests {
         assert_eq!(stats.ingested, 100);
         assert_eq!(stats.accepted + stats.quarantined, stats.ingested);
         assert_eq!(stats.by_reason.iter().sum::<u64>(), stats.quarantined);
-    }
-
-    #[test]
-    fn new_session_resets_ordering_but_keeps_stats() {
-        let mut gate = FleetSanitizer::new(QualityPolicy::default());
-        gate.admit(DriveId(0), &record(100, 1.0)).unwrap();
-        gate.new_session();
-        // Hour restarts below the old watermark: accepted, not OutOfOrder.
-        gate.admit(DriveId(0), &record(0, 2.0)).unwrap();
-        assert_eq!(gate.stats().accepted, 2);
     }
 
     #[test]
@@ -649,7 +638,7 @@ mod tests {
 
     #[test]
     fn quality_stats_render_for_humans() {
-        let mut gate = FleetSanitizer::new(QualityPolicy::default());
+        let mut gate = Gates::new(QualityPolicy::default());
         gate.admit(DriveId(0), &record(1, 1.0)).unwrap();
         let _ = gate.admit(DriveId(0), &record(1, 1.0));
         let text = gate.stats().to_string();

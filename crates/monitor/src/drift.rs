@@ -395,10 +395,8 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::{
-        Analysis, AnalysisConfig, CategorizationConfig, DataQualityError, FleetSanitizer,
-        QualityPolicy,
-    };
+    use crate::{FleetMonitor, MonitorConfig};
+    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig, DataQualityError};
     use dds_smartsim::stream::hour_ordered;
     use dds_smartsim::{FleetConfig, FleetSimulator};
 
@@ -583,7 +581,16 @@ mod tests {
         let bundle = bundle(4_010);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_010)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
-        let mut sanitizer = FleetSanitizer::new(QualityPolicy::default());
+        // The serving monitor's gate, which the serve loop resets beside
+        // the detector at every epoch.
+        let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
+        fn admit(
+            monitor: &mut FleetMonitor,
+            drive: DriveId,
+            record: &HealthRecord,
+        ) -> Result<HealthRecord, DataQualityError> {
+            monitor.sanitize_slot(drive, record).map(|(_, clean)| clean.into_owned())
+        }
         let (drive, record) = hour_ordered(&live).remove(0);
         let at = |hour: u32| HealthRecord { hour, ..record.clone() };
 
@@ -592,21 +599,21 @@ mod tests {
         // drift exactly when the gate quarantines them as out of order.
         let late = at(u32::MAX - 2);
         assert!(!detector.observe(drive, &late));
-        assert_eq!(sanitizer.admit(drive, &late), Ok(late.clone()));
+        assert_eq!(admit(&mut monitor, drive, &late), Ok(late.clone()));
         for record in [at(1), at(2)] {
             assert!(detector.observe(drive, &record), "a backward jump is drift");
             let out_of_order =
                 DataQualityError::OutOfOrder { drive, last_hour: late.hour, hour: record.hour };
-            assert_eq!(sanitizer.admit(drive, &record), Err(out_of_order));
+            assert_eq!(admit(&mut monitor, drive, &record), Err(out_of_order));
         }
         assert_eq!(detector.excess_drifted(), 2);
 
         // A new session forgets the watermark on both sides alike.
         detector.new_session();
-        sanitizer.new_session();
+        monitor.new_ingest_session();
         let next = at(2);
         assert!(!detector.observe(drive, &next), "a new session forgets");
-        assert_eq!(sanitizer.admit(drive, &next), Ok(next.clone()), "a new session forgets");
+        assert_eq!(admit(&mut monitor, drive, &next), Ok(next.clone()), "a new session forgets");
     }
 
     #[test]

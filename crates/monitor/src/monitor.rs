@@ -863,10 +863,12 @@ mod tests {
         monitor.replay(drive.id(), records);
         assert_eq!(monitor.quality_stats().quarantined, records.len() as u64);
 
-        // ...but after a reset the restarted hours are accepted again.
+        // ...but after a reset the restarted hours are accepted again,
+        // and the cumulative stats carry across the reset.
         monitor.new_ingest_session();
         monitor.replay(drive.id(), records);
         assert_eq!(monitor.quality_stats().quarantined, records.len() as u64);
+        assert_eq!(monitor.quality_stats().accepted, 2 * records.len() as u64);
         assert_eq!(monitor.quality_stats().ingested, 3 * records.len() as u64);
     }
 }

@@ -56,8 +56,9 @@ use dds_obs::journal::{BatchSpan, FlightRecorder, ShardSpan};
 use dds_obs::metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 use dds_smartsim::{DriveId, HealthRecord};
 use std::borrow::Cow;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -776,15 +777,22 @@ pub struct IngestCounts {
     pub shed_batches: u64,
 }
 
+/// The batches an [`IngestQueue`] holds and the counts of everything
+/// offered to it, guarded together so every count matches the queue.
+#[derive(Debug, Default)]
+struct Queued {
+    batches: VecDeque<Vec<(DriveId, HealthRecord)>>,
+    counts: IngestCounts,
+}
+
 /// The bounded intake between the HTTP `/ingest` endpoint and the serve
 /// loop: `offer` never blocks — a full queue sheds the batch (HTTP 429)
 /// and counts it (`dds_shed_records_total`), which is what the watchdog's
 /// shed budget and the overload runbook key off.
 #[derive(Debug)]
 pub struct IngestQueue {
-    sender: SyncSender<Vec<(DriveId, HealthRecord)>>,
-    receiver: Mutex<Receiver<Vec<(DriveId, HealthRecord)>>>,
-    counts: Mutex<IngestCounts>,
+    capacity: usize,
+    queued: Mutex<Queued>,
     recorder: Option<Arc<FlightRecorder>>,
     accepted_records: Arc<Counter>,
     accepted_batches: Arc<Counter>,
@@ -795,12 +803,10 @@ pub struct IngestQueue {
 impl IngestQueue {
     /// A queue holding at most `capacity` batches.
     pub fn bounded(capacity: usize) -> Self {
-        let (sender, receiver) = mpsc::sync_channel(capacity.max(1));
         let registry = dds_obs::metrics::global();
         IngestQueue {
-            sender,
-            receiver: Mutex::new(receiver),
-            counts: Mutex::new(IngestCounts::default()),
+            capacity: capacity.max(1),
+            queued: Mutex::new(Queued::default()),
             recorder: None,
             accepted_records: registry.counter("dds_ingest_records_total"),
             accepted_batches: registry.counter("dds_ingest_batches_total"),
@@ -824,43 +830,44 @@ impl IngestQueue {
     /// caller should answer HTTP 429 and let the relay retry later.
     pub fn offer(&self, batch: Vec<(DriveId, HealthRecord)>) -> Result<usize, usize> {
         let records = batch.len() as u64;
-        // Poison recovery: the tallies are plain integers updated in
+        // Poison recovery: the queue and its tallies are updated in
         // place; a panic-isolated handler dying mid-offer must not turn
         // every later /ingest into a 500.
-        let mut counts = self.counts.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        counts.offered_records += records;
-        match self.sender.try_send(batch) {
-            Ok(()) => {
-                counts.accepted_records += records;
-                counts.accepted_batches += 1;
-                self.accepted_records.add(records);
-                self.accepted_batches.inc();
-                Ok(records as usize)
+        let mut queued = self.queued.lock().unwrap_or_else(PoisonError::into_inner);
+        queued.counts.offered_records += records;
+        if queued.batches.len() < self.capacity {
+            queued.batches.push_back(batch);
+            queued.counts.accepted_records += records;
+            queued.counts.accepted_batches += 1;
+            self.accepted_records.add(records);
+            self.accepted_batches.inc();
+            Ok(records as usize)
+        } else {
+            queued.counts.shed_records += records;
+            queued.counts.shed_batches += 1;
+            self.shed_records.add(records);
+            self.shed_batches.inc();
+            if let Some(recorder) = &self.recorder {
+                recorder.record(BatchSpan {
+                    source: "external",
+                    outcome: "shed",
+                    records,
+                    ..BatchSpan::default()
+                });
             }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                counts.shed_records += records;
-                counts.shed_batches += 1;
-                self.shed_records.add(records);
-                self.shed_batches.inc();
-                if let Some(recorder) = &self.recorder {
-                    recorder.record(BatchSpan {
-                        source: "external",
-                        outcome: "shed",
-                        records,
-                        ..BatchSpan::default()
-                    });
-                }
-                Err(records as usize)
-            }
+            Err(records as usize)
         }
     }
 
-    /// Drains every queued batch into one record list, in arrival order.
-    /// Called by the serve loop between stream ticks; never blocks.
+    /// Drains the batches queued when it is called — at most `capacity`,
+    /// however fast producers refill the queue — into one record list, in
+    /// arrival order. Called by the serve loop between stream ticks;
+    /// never blocks on producers.
     pub fn drain(&self) -> Vec<(DriveId, HealthRecord)> {
-        let receiver = self.receiver.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut records = Vec::new();
-        while let Ok(batch) = receiver.try_recv() {
+        let batches =
+            std::mem::take(&mut self.queued.lock().unwrap_or_else(PoisonError::into_inner).batches);
+        let mut records = Vec::with_capacity(batches.iter().map(Vec::len).sum());
+        for batch in batches {
             records.extend(batch);
         }
         records
@@ -868,7 +875,7 @@ impl IngestQueue {
 
     /// A snapshot of the conservation counters.
     pub fn counts(&self) -> IngestCounts {
-        *self.counts.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.queued.lock().unwrap_or_else(PoisonError::into_inner).counts
     }
 }
 
@@ -1318,5 +1325,54 @@ mod tests {
         assert_eq!(queue.offer(batch(3)), Ok(3));
         assert_eq!(queue.drain().len(), 3);
         assert!(queue.drain().is_empty());
+    }
+
+    #[test]
+    fn one_drain_takes_at_most_what_was_queued() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        const CAPACITY: usize = 4;
+        const BATCH: u32 = 8;
+        let queue = Arc::new(IngestQueue::bounded(CAPACITY));
+        let stop = Arc::new(AtomicBool::new(false));
+        // A relay that offers back to back while the serve loop drains;
+        // each record's hour is its offer sequence number.
+        let producer = {
+            let (queue, stop) = (Arc::clone(&queue), Arc::clone(&stop));
+            thread::spawn(move || {
+                let mut next = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    let batch: Vec<(DriveId, HealthRecord)> = (next..next + BATCH)
+                        .map(|hour| {
+                            (DriveId(0), HealthRecord { hour, values: [1.0; NUM_ATTRIBUTES] })
+                        })
+                        .collect();
+                    if queue.offer(batch).is_ok() {
+                        next += BATCH;
+                    }
+                }
+            })
+        };
+        let mut drained = Vec::new();
+        let mut drains = 0;
+        while drains < 2_000 || drained.is_empty() {
+            let records = queue.drain();
+            assert!(
+                records.len() <= CAPACITY * BATCH as usize,
+                "one drain returned {} records, more than {CAPACITY} batches of {BATCH}",
+                records.len()
+            );
+            drained.extend(records);
+            drains += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        producer.join().unwrap();
+        drained.extend(queue.drain());
+
+        // Every accepted record came out once, in arrival order.
+        let counts = queue.counts();
+        assert_eq!(drained.len() as u64, counts.accepted_records);
+        assert_eq!(counts.accepted_records + counts.shed_records, counts.offered_records);
+        assert!(drained.iter().enumerate().all(|(i, (_, r))| r.hour == i as u32));
     }
 }

@@ -154,7 +154,13 @@ fn online_refit_of_the_golden_window_renders_the_pinned_report() {
     trainer.begin_epoch(&dataset);
     trainer.observe_batch(&dds_smartsim::stream::hour_ordered(&dataset));
     let outcome = trainer.refit(&ctx).expect("golden refit");
-    assert!(outcome.quality.is_none(), "the clean golden window skips the quality gate");
+    let quality = outcome.quality;
+    assert_eq!(
+        (quality.quarantined, quality.imputed_attrs, quality.drives_dropped),
+        (0, 0, 0),
+        "the clean golden window passes the quality gate untouched"
+    );
+    assert_eq!(quality.accepted, dataset.num_records() as u64);
     assert_eq!(
         report::render_full_report(&outcome.report),
         report::render_full_report(&golden_run().1),

@@ -9,13 +9,14 @@
 //! wall-clock stamp, which both sides normalize before comparing bytes.
 
 use dds_chaos::{ChaosEngine, ChaosSpec};
+use dds_core::quality::SENTINEL_VALUE;
 use dds_core::{
-    Analysis, AnalysisConfig, CategorizationConfig, OnlineTrainer, RefitPath, TrainedModel,
-    TrainingContext,
+    sanitize_profiles, Analysis, AnalysisConfig, CategorizationConfig, OnlineTrainer,
+    QualityPolicy, RefitPath, TrainedModel, TrainingContext,
 };
 use dds_monitor::shard_for;
 use dds_smartsim::stream::hour_ordered;
-use dds_smartsim::{DriveId, FleetConfig, HealthRecord, StreamingFleet};
+use dds_smartsim::{Dataset, DriveId, FleetConfig, HealthRecord, RawProfile, StreamingFleet};
 
 fn config() -> AnalysisConfig {
     AnalysisConfig {
@@ -68,7 +69,14 @@ fn streaming_refit_is_bit_identical_to_cold_training() {
             assert_eq!(trainer.window_records(), records.len() as u64);
 
             let outcome = trainer.refit(&ctx(seed)).expect("streaming refit succeeds");
-            assert!(outcome.quality.is_none(), "a clean window must skip the quality gate");
+            // The gate admits a clean window's every record unchanged.
+            let quality = outcome.quality;
+            assert_eq!(
+                (quality.quarantined, quality.imputed_attrs, quality.drives_dropped),
+                (0, 0, 0),
+                "a clean window passes the quality gate untouched"
+            );
+            assert_eq!(quality.accepted, records.len() as u64);
             assert_eq!(outcome.expected_disorder(), 0.0);
             assert_eq!(
                 stamped_bytes(outcome.model),
@@ -221,4 +229,76 @@ fn fallback_refit_is_the_cold_fit_scored_against_the_prior() {
             "seed {seed}: live RMSE {live} vs training RMSE {training}"
         );
     }
+}
+
+/// The first epoch of `seed`'s test fleet and its hour-ordered stream
+/// corrupted by `spec` (chaos seed 7).
+fn corrupted_epoch(seed: u64, spec: &str) -> (Dataset, Vec<(DriveId, HealthRecord)>) {
+    let window = StreamingFleet::new(FleetConfig::test_scale().with_seed(seed)).next_epoch();
+    let spec: ChaosSpec = spec.parse().expect("spec parses");
+    let (corrupted, faults) = ChaosEngine::new(spec, 7).corrupt_stream(0, &hour_ordered(&window));
+    assert!(faults.total() > 0, "the chaos spec must actually fire");
+    (window, corrupted)
+}
+
+#[test]
+fn refit_of_a_window_with_unreadable_attributes_imputes_them() {
+    // Unreadable attributes leave every drive's hours in order; the
+    // window still passes the gate, which imputes the NaNs the scaler
+    // fit would reject.
+    let (window, corrupted) = corrupted_epoch(77, "nullattr=0.02");
+    let mut trainer = OnlineTrainer::new(config());
+    trainer.begin_epoch(&window);
+    trainer.observe_batch(&corrupted);
+    let outcome = trainer.refit(&ctx(77)).expect("a window with NaN attributes refits");
+    assert_eq!(outcome.quality.ingested, corrupted.len() as u64);
+    assert!(outcome.quality.imputed_attrs > 0, "the gate imputes: {}", outcome.quality);
+}
+
+#[test]
+fn refit_of_a_sentinel_window_trains_on_the_gated_window() {
+    let (window, corrupted) = corrupted_epoch(78, "sentinel=0.01");
+    let mut trainer = OnlineTrainer::new(config());
+    trainer.begin_epoch(&window);
+    trainer.observe_batch(&corrupted);
+    // One record for a drive outside the manifest: ignored, but counted
+    // as expected disorder.
+    trainer.observe(DriveId(u32::MAX), &corrupted[0].1);
+    let outcome = trainer.refit(&ctx(78)).expect("a sentinel window refits");
+
+    // The artifact carries the scaler of the gated window, never one
+    // stretched to the sentinel.
+    let raw: Vec<RawProfile> = window
+        .drives()
+        .iter()
+        .map(|drive| RawProfile {
+            id: drive.id(),
+            label: drive.label(),
+            rack: drive.rack(),
+            records: corrupted
+                .iter()
+                .filter(|(id, _)| *id == drive.id())
+                .map(|(_, record)| record.clone())
+                .collect(),
+        })
+        .collect();
+    let (gated, stats) = sanitize_profiles(&raw, QualityPolicy::default()).expect("gate");
+    assert_eq!(outcome.quality, stats);
+    let scaler = outcome.model.scaler().expect("artifact scaler");
+    assert_eq!(&scaler, gated.scaler(), "the artifact's scaler is the gated window's");
+    assert!(
+        scaler.maxs().iter().all(|&max| max < SENTINEL_VALUE),
+        "no attribute max at the sentinel: {:?}",
+        scaler.maxs()
+    );
+
+    // The expected disorder counts the gate's quarantines and the
+    // ignored record.
+    let quality = outcome.quality;
+    assert_eq!(outcome.ignored, 1);
+    let expected = (quality.quarantined + outcome.ignored) as f64
+        / (quality.ingested + outcome.ignored) as f64;
+    assert_eq!(outcome.expected_disorder(), expected);
+    assert!(quality.quarantined > 0, "sentinels on a drive's first hour quarantine: {quality}");
+    assert!(outcome.expected_disorder() > 0.0);
 }

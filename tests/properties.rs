@@ -422,7 +422,7 @@ proptest! {
     ) {
         use chaos_support::synthetic_stream;
         use dds_chaos::{ChaosEngine, ChaosSpec, FaultKind};
-        use dds_core::quality::{FleetSanitizer, QualityPolicy};
+        use dds_core::quality::{DriveGate, QualityPolicy, QualityStats};
         use std::collections::HashMap;
 
         let spec = ChaosSpec::none()
@@ -435,11 +435,15 @@ proptest! {
         let stream = synthetic_stream(5, 24);
         let (corrupted, _) = ChaosEngine::new(spec, seed).corrupt_stream(0, &stream);
 
-        let mut sanitizer = FleetSanitizer::new(QualityPolicy::default());
+        // One gate per drive and one tally, as a serving monitor keeps them.
+        let policy = QualityPolicy::default();
+        let mut gates: HashMap<u32, DriveGate> = HashMap::new();
+        let mut stats = QualityStats::default();
         let mut last_hour: HashMap<u32, u32> = HashMap::new();
         let mut accepted = 0u64;
         for (drive, record) in &corrupted {
-            if let Ok(clean) = sanitizer.admit(*drive, record) {
+            let gate = gates.entry(drive.0).or_default();
+            if let Ok(clean) = gate.admit(&policy, &mut stats, *drive, record) {
                 accepted += 1;
                 // Accepted records are finite and strictly chronological
                 // per drive — exactly what `DriveProfile::new` demands.
@@ -450,7 +454,6 @@ proptest! {
                 last_hour.insert(drive.0, clean.hour);
             }
         }
-        let stats = *sanitizer.stats();
         prop_assert_eq!(stats.ingested, corrupted.len() as u64);
         prop_assert_eq!(stats.accepted, accepted);
         prop_assert_eq!(stats.accepted + stats.quarantined, stats.ingested);
